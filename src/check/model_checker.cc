@@ -7,10 +7,11 @@
 //    keys in a lock-free visited set, pure-absorption partial-order
 //    reduction, and per-depth parallel expansion over exec::ThreadPool.
 //    Each BFS depth is a barrier: workers expand frontier entries into
-//    per-entry result buffers, then a serial in-order merge assigns tree
-//    nodes and picks the lowest-index violation, so reported counts and
-//    counterexamples are schedule-independent (the one exception,
-//    symmetry_hits, is documented at its field).
+//    per-entry result buffers, claiming each successor's key ranked by its
+//    (depth, entry, candidate) index, so the lowest index owns each key
+//    whatever the schedule; then a serial in-order merge keeps the owners,
+//    assigns tree nodes and picks the lowest-index violation.  Every
+//    reported count and counterexample equals the one-thread run's.
 //
 // The state semantics both engines share — World, step application,
 // invariants, probes, canonicalization, the snapshot codec — live in
@@ -200,12 +201,20 @@ struct Entry {
   std::size_t tree = 0;
 };
 
-/// One newly claimed successor produced by a worker, pending the serial
-/// merge that assigns its tree node.
+/// One successor whose ranked claim held its key when the worker made
+/// it, pending the serial merge: if a lower rank took the key later in
+/// the depth, the merge drops it; otherwise it assigns its tree node.
 struct SuccessorOut {
   CheckStep step;
+  std::uint64_t rank = 0;
+  const std::atomic<std::uint64_t>* owner = nullptr;  // the key's rank cell
+  bool nontrivial = false;  // a non-identity permutation gave the key
   std::vector<std::uint8_t> bytes;
   std::unique_ptr<World> world;
+  std::vector<const char*> names;  // state_name() literals
+  std::size_t probes = 0;
+  const char* probe_invariant = nullptr;
+  std::string probe_detail;
 };
 
 /// Everything a worker learned expanding one frontier entry.  Workers
@@ -216,11 +225,9 @@ struct EntryResult {
   std::size_t transitions = 0;
   std::size_t truncated = 0;
   std::size_t por_pruned = 0;
-  std::size_t symmetry_hits = 0;
-  std::size_t probes = 0;
-  std::set<const char*> names;  // state_name() literals of inserted states
-  const char* invariant = nullptr;  // first violation, candidate order
-  std::string detail;
+  std::size_t symmetry_hits = 0;  // dedups the worker already saw
+  const char* invariant = nullptr;  // step/state violation ending the
+  std::string detail;               // entry's candidates (after succs)
   CheckStep bad_step;
   bool overflow = false;
 };
@@ -300,8 +307,9 @@ CheckResult check_reduced(const CheckConfig& cfg) {
   {
     std::vector<std::uint8_t> scratch;
     bool nontrivial = false;
-    store.claim(state_hash(init, scratch, nontrivial));
+    store.claim(state_hash(init, scratch, nontrivial));  // rank 0
   }
+  std::size_t states = 1;
   tree.push_back({});
   record_names(init);
   {
@@ -334,17 +342,29 @@ CheckResult check_reduced(const CheckConfig& cfg) {
   }
 
   // When the pool is one thread, parallel_for degenerates to an in-order
-  // inline loop, so a shared stop flag reproduces the reference engine's
-  // early exit exactly.  With real parallelism the flag is only set on
-  // overflow: every entry still runs to completion on a violation, so
-  // the merge always sees the lowest-(entry, candidate) one regardless
-  // of schedule.
+  // inline loop: ranks are offered in increasing order, a claim that
+  // holds its key keeps it, and a shared stop flag skips everything after
+  // the first violation exactly as the reference engine does.  With real
+  // parallelism every entry runs to completion, and the merge stops at
+  // the lowest-(entry, candidate) violation.
   const bool serial = pool.threads() == 1;
+
+  // Rank of candidate c of entry i at depth d: (d + 1, i, c), packed so
+  // that every rank of a depth exceeds every rank of the depths before.
+  constexpr int kEntryShift = 16;  // candidates per entry < 2^16
+  constexpr int kDepthShift = 48;  // entries per depth < 2^32
+  // Candidates per state are at most 2N issues plus (N+1)^2 channel
+  // heads, and check_protocol caps N at 250.
+  static_assert(2 * 250 + 251 * 251 < (1 << kEntryShift));
 
   std::size_t depth = 0;
   while (!frontier.empty() && res.violations.empty() &&
          !res.hit_state_cap) {
     const std::size_t width = frontier.size();
+    DRSM_CHECK(width < (std::size_t{1} << (kDepthShift - kEntryShift)) &&
+                   depth + 1 < (std::size_t{1} << (64 - kDepthShift)),
+               "check: frontier too wide or deep to rank");
+    const std::uint64_t depth_rank = std::uint64_t{depth + 1} << kDepthShift;
     store.reserve(store.size() + width * succ_bound);
     std::vector<EntryResult> results(width);
     std::atomic<bool> stop{false};
@@ -377,8 +397,8 @@ CheckResult check_reduced(const CheckConfig& cfg) {
       }
 
       std::vector<std::uint8_t> scratch;
-      for (const Candidate& cand : candidates) {
-        if (stop.load(std::memory_order_relaxed)) return;
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        const Candidate& cand = candidates[c];
         World s = w.clone();
         StepOutcome out;
         CheckStep step;
@@ -416,80 +436,98 @@ CheckResult check_reduced(const CheckConfig& cfg) {
             return;
           }
         }
-        bool nontrivial = false;
-        const std::uint64_t h = state_hash(s, scratch, nontrivial);
-        const StateStore::Claim claim = store.claim(h);
-        if (claim == StateStore::Claim::kOverflow) {
+        SuccessorOut succ;
+        succ.rank = depth_rank | std::uint64_t{i} << kEntryShift | c;
+        const StateStore::Ticket ticket =
+            store.claim_ranked(state_hash(s, scratch, succ.nontrivial),
+                               succ.rank);
+        if (ticket.claim == StateStore::Claim::kOverflow) {
           r.overflow = true;
           stop.store(true, std::memory_order_relaxed);
           return;
         }
-        if (claim == StateStore::Claim::kPresent) {
-          if (nontrivial) ++r.symmetry_hits;
+        if (ticket.claim == StateStore::Claim::kPresent) {
+          if (succ.nontrivial) ++r.symmetry_hits;
           continue;
         }
+        succ.owner = ticket.rank;
+        succ.step = step;
         for (const auto& machine : s.machines)
-          r.names.insert(machine->state_name());
+          succ.names.push_back(machine->state_name());
         if (cfg.probe_quiescent_reads && channels_empty(s) &&
             !any_pending(s)) {
-          const char* probe_inv = nullptr;
-          std::string probe_detail;
           for (NodeId client = 0; client < cfg.num_clients; ++client) {
-            ++r.probes;
-            probe_inv = probe_read(s, client, cfg, probe_detail);
-            if (probe_inv != nullptr) break;
-          }
-          if (probe_inv != nullptr) {
-            r.invariant = probe_inv;
-            r.detail = std::move(probe_detail);
-            r.bad_step = step;
-            if (serial) stop.store(true, std::memory_order_relaxed);
-            return;
+            ++succ.probes;
+            succ.probe_invariant =
+                probe_read(s, client, cfg, succ.probe_detail);
+            if (succ.probe_invariant != nullptr) break;
           }
         }
-        if (store.size() >= cfg.max_states) {
-          r.overflow = true;
-          stop.store(true, std::memory_order_relaxed);
-          // Keep this last successor: it was claimed before the cap hit.
-        }
-        SuccessorOut succ;
-        succ.step = step;
+        const bool probe_failed = succ.probe_invariant != nullptr;
         if (compact)
           serialize_world(s, succ.bytes);
         else
           succ.world = std::make_unique<World>(std::move(s));
         r.succs.push_back(std::move(succ));
-        if (r.overflow) return;
+        if (probe_failed && serial) {
+          stop.store(true, std::memory_order_relaxed);
+          return;
+        }
       }
     };
     pool.parallel_for(width, expand);
 
-    // Serial in-order merge: fold counters, pick the lowest-index
-    // violation, assign tree nodes and the next frontier.
+    // Serial in-order merge: keep the successors that still own their
+    // key, fold counters, stop at the lowest-index violation or the state
+    // cap, assign tree nodes and the next frontier.  A violating entry
+    // adds no tree nodes.
     std::vector<Entry> next;
-    bool violated = false;
-    for (std::size_t i = 0; i < width; ++i) {
+    std::vector<SuccessorOut*> won;
+    bool halted = false;
+    for (std::size_t i = 0; i < width && !halted; ++i) {
       EntryResult& r = results[i];
       res.transitions += r.transitions;
       res.truncated += r.truncated;
       res.por_pruned += r.por_pruned;
       res.symmetry_hits += r.symmetry_hits;
-      res.probes += r.probes;
-      for (const char* name : r.names) names.insert(name);
-      if (r.overflow) res.hit_state_cap = true;
-      if (r.invariant != nullptr && !violated) {
-        violated = true;
-        fail(static_cast<std::int64_t>(frontier[i].tree), &r.bad_step,
-             r.invariant, std::move(r.detail));
+      if (r.overflow) {
+        res.hit_state_cap = true;
+        halted = true;
       }
-      if (violated) continue;
+      const auto parent = static_cast<std::int64_t>(frontier[i].tree);
+      won.clear();
       for (SuccessorOut& succ : r.succs) {
-        tree.push_back({static_cast<std::int64_t>(frontier[i].tree),
-                        succ.step, depth + 1});
+        if (succ.owner->load(std::memory_order_relaxed) != succ.rank) {
+          if (succ.nontrivial) ++res.symmetry_hits;  // a lower index won
+          continue;
+        }
+        names.insert(succ.names.begin(), succ.names.end());
+        res.probes += succ.probes;
+        if (succ.probe_invariant != nullptr) {
+          fail(parent, &succ.step, succ.probe_invariant,
+               std::move(succ.probe_detail));
+          halted = true;
+          break;
+        }
+        won.push_back(&succ);
+        if (++states >= cfg.max_states) {
+          // Keep this last successor: it was claimed before the cap hit.
+          res.hit_state_cap = true;
+          halted = true;
+          break;
+        }
+      }
+      if (!halted && r.invariant != nullptr) {
+        fail(parent, &r.bad_step, r.invariant, std::move(r.detail));
+        halted = true;
+      }
+      if (!res.violations.empty()) break;
+      for (SuccessorOut* succ : won) {
+        tree.push_back({parent, succ->step, depth + 1});
         res.max_depth = std::max(res.max_depth, depth + 1);
         Entry e;
-        e.bytes = std::move(succ.bytes);
-        e.world = std::move(succ.world);
+        e.bytes = std::move(succ->bytes);
+        e.world = std::move(succ->world);
         e.tree = tree.size() - 1;
         next.push_back(std::move(e));
       }
@@ -498,7 +536,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
     ++depth;
   }
 
-  res.states = store.size();
+  res.states = states;
   res.visited_state_names.assign(names.begin(), names.end());
   return res;
 }

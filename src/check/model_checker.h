@@ -146,8 +146,9 @@ struct CheckConfig {
 
   /// Worker threads for frontier expansion: 0 picks
   /// exec::ThreadPool::default_threads() (DRSM_THREADS or hardware
-  /// concurrency).  All reported counts are schedule-independent; only
-  /// cap-truncated runs may vary in which states they kept.
+  /// concurrency).  All reported counts, and the states a cap-truncated
+  /// run keeps, equal the one-thread run's (a visited-set overflow,
+  /// reported like the cap, is the one schedule-dependent outcome).
   std::size_t threads = 0;
 
   /// When set, check_protocol publishes check.* counters and gauges here

@@ -9,10 +9,25 @@ namespace drsm::check {
 
 namespace {
 
+constexpr std::uint64_t kNoRank = ~std::uint64_t{0};
+
 std::size_t next_pow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;
   return p;
+}
+
+/// Lowers a key's rank cell to `rank`; the call that lowers it holds the
+/// key for now.
+StateStore::Ticket lower(std::atomic<std::uint64_t>& cell,
+                         std::uint64_t rank) {
+  std::uint64_t old = cell.load(std::memory_order_relaxed);
+  while (rank < old &&
+         !cell.compare_exchange_weak(old, rank, std::memory_order_relaxed)) {
+  }
+  return {rank < old ? StateStore::Claim::kInserted
+                     : StateStore::Claim::kPresent,
+          &cell};
 }
 
 }  // namespace
@@ -33,10 +48,11 @@ void StateStore::allocate(std::size_t expected_max) {
   shards_.clear();
   shards_.resize(kShards);
   for (Shard& shard : shards_) {
-    shard.slots =
-        std::make_unique<std::atomic<std::uint64_t>[]>(slots_per_shard_);
-    for (std::size_t i = 0; i < slots_per_shard_; ++i)
-      shard.slots[i].store(0, std::memory_order_relaxed);
+    shard.slots = std::make_unique<Slot[]>(slots_per_shard_);
+    for (std::size_t i = 0; i < slots_per_shard_; ++i) {
+      shard.slots[i].key.store(0, std::memory_order_relaxed);
+      shard.slots[i].rank.store(kNoRank, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -49,21 +65,29 @@ void StateStore::reserve(std::size_t expected_max) {
   // key lands exactly once in the fresh (strictly larger) arrays.
   for (const Shard& shard : old)
     for (std::size_t i = 0; i < old_slots; ++i) {
-      const std::uint64_t key = shard.slots[i].load(std::memory_order_relaxed);
-      if (key != 0) insert_unlocked(key);
+      const Slot& slot = shard.slots[i];
+      const std::uint64_t key = slot.key.load(std::memory_order_relaxed);
+      if (key != 0)
+        insert_unlocked(key, slot.rank.load(std::memory_order_relaxed));
     }
 }
 
-void StateStore::insert_unlocked(std::uint64_t key) {
+void StateStore::insert_unlocked(std::uint64_t key, std::uint64_t rank) {
   const std::uint64_t mixed = hash_mix(key);
   Shard& shard = shards_[(mixed >> 60) & (kShards - 1)];
   std::size_t at = static_cast<std::size_t>(mixed) & slot_mask_;
-  while (shard.slots[at].load(std::memory_order_relaxed) != 0)
+  while (shard.slots[at].key.load(std::memory_order_relaxed) != 0)
     at = (at + 1) & slot_mask_;
-  shard.slots[at].store(key, std::memory_order_relaxed);
+  shard.slots[at].key.store(key, std::memory_order_relaxed);
+  shard.slots[at].rank.store(rank, std::memory_order_relaxed);
 }
 
 StateStore::Claim StateStore::claim(std::uint64_t key) {
+  return claim_ranked(key, 0).claim;
+}
+
+StateStore::Ticket StateStore::claim_ranked(std::uint64_t key,
+                                            std::uint64_t rank) {
   if (key == 0) key = 1;  // 0 marks an empty slot
   // Re-mix before indexing: canonical keys are minima over permutation
   // orbits, which skews their high bits toward zero — raw top-bit
@@ -73,22 +97,21 @@ StateStore::Claim StateStore::claim(std::uint64_t key) {
   Shard& shard = shards_[(mixed >> 60) & (kShards - 1)];
   std::size_t at = static_cast<std::size_t>(mixed) & slot_mask_;
   for (std::size_t probe = 0; probe < max_probe_; ++probe) {
-    std::uint64_t seen = shard.slots[at].load(std::memory_order_acquire);
-    if (seen == key) return Claim::kPresent;
+    Slot& slot = shard.slots[at];
+    std::uint64_t seen = slot.key.load(std::memory_order_acquire);
     if (seen == 0) {
-      std::uint64_t expected = 0;
-      if (shard.slots[at].compare_exchange_strong(
-              expected, key, std::memory_order_acq_rel,
-              std::memory_order_acquire)) {
+      if (slot.key.compare_exchange_strong(seen, key,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
         size_.fetch_add(1, std::memory_order_relaxed);
-        return Claim::kInserted;
+        return lower(slot.rank, rank);
       }
-      if (expected == key) return Claim::kPresent;
-      // Lost the race to a different key: fall through and keep probing.
+      // A racing insert filled the slot: `seen` now holds its key.
     }
+    if (seen == key) return lower(slot.rank, rank);
     at = (at + 1) & slot_mask_;
   }
-  return Claim::kOverflow;
+  return {};
 }
 
 }  // namespace drsm::check

@@ -17,6 +17,13 @@
 // depth, so claim() never runs out of slots mid-depth in practice.
 // Running out anyway is reported via claim() == kOverflow and treated by
 // the checker exactly like hitting the state cap.
+//
+// Plain first-claim makes the winner of a key depend on which claimer ran
+// first.  claim_ranked() removes that: every key also carries a rank cell,
+// and the key belongs to the lowest rank ever offered for it.  The checker
+// ranks each successor by its (depth, entry, candidate) index, so the key's
+// owner is the one a one-thread search would have inserted, on any
+// schedule.
 #pragma once
 
 #include <atomic>
@@ -29,8 +36,8 @@ namespace drsm::check {
 class StateStore {
  public:
   enum class Claim : std::uint8_t {
-    kInserted,  // this call claimed the key
-    kPresent,   // some earlier claim holds it
+    kInserted,  // this call claimed the key (ranked: holds it for now)
+    kPresent,   // some earlier (ranked: lower or equal) claim holds it
     kOverflow,  // the owning shard is full; treat as a state cap
   };
 
@@ -40,9 +47,24 @@ class StateStore {
   StateStore(const StateStore&) = delete;
   StateStore& operator=(const StateStore&) = delete;
 
+  /// A ranked claim's outcome and the key's rank cell (null on
+  /// kOverflow).  The cell stays valid until the next reserve().
+  struct Ticket {
+    Claim claim = Claim::kOverflow;
+    const std::atomic<std::uint64_t>* rank = nullptr;
+  };
+
   /// Thread-safe, lock-free.  Key 0 is remapped internally (the empty
-  /// slot marker), so every 64-bit value is a valid key.
+  /// slot marker), so every 64-bit value is a valid key.  The first
+  /// claimer of a key gets kInserted (claim_ranked with rank 0).
   Claim claim(std::uint64_t key);
+
+  /// Thread-safe, lock-free.  Offers `key` at `rank`; the key belongs to
+  /// the lowest rank offered for it.  kInserted: this rank is the lowest
+  /// so far (the caller owns the key unless a lower rank arrives later);
+  /// kPresent: an equal or lower rank holds it.  Once the claimers have
+  /// synchronized, `*ticket.rank` is the owning rank.
+  Ticket claim_ranked(std::uint64_t key, std::uint64_t rank);
 
   /// Grows capacity to hold `expected_max` keys (no-op if it already
   /// does), rehashing every claimed key into the new slot arrays.  NOT
@@ -61,14 +83,19 @@ class StateStore {
   }
 
  private:
+  struct Slot {
+    std::atomic<std::uint64_t> key;
+    std::atomic<std::uint64_t> rank;  // same cache line as its key
+  };
   struct Shard {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
+    std::unique_ptr<Slot[]> slots;
   };
 
   static constexpr std::size_t kShards = 16;  // fixed power of two
 
   void allocate(std::size_t expected_max);
-  void insert_unlocked(std::uint64_t key);  // reserve()'s rehash path
+  // reserve()'s rehash path
+  void insert_unlocked(std::uint64_t key, std::uint64_t rank);
 
   std::vector<Shard> shards_;
   std::size_t capacity_ = 0;         // expected_max the layout satisfies

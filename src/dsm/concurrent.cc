@@ -30,7 +30,8 @@ ConcurrentSharedMemory::Session::Session(ConcurrentSharedMemory& owner,
       grants_(grant_capacity),
       latency_sample_every_(latency_sample_every == 0
                                 ? 1
-                                : latency_sample_every) {
+                                : latency_sample_every),
+      staged_(owner.options_.num_shards) {
   pump_buf_.resize(256);
 }
 
@@ -89,32 +90,57 @@ std::uint64_t ConcurrentSharedMemory::Session::submit(fsm::OpKind op,
       issued_ % latency_sample_every_ == 0 ? now_ns() : 0;
   request.reply = &grants_;
   request.reply_gate = &gate_;
-  sim::SequencerShard& shard =
-      *owner_.shards_[sim::shard_of(object, owner_.shards_.size())];
+  // Staged, not pushed: the next pump() hands the shard the whole batch.
+  staged_[sim::shard_of(object, staged_.size())].push_back(request);
   ++in_flight_;
-  // Ring backpressure: keep draining our own grants so the shard always
-  // has somewhere to publish completions; never park holding a request.
-  while (!shard.try_submit(request)) {
-    ++submit_stalls_;
-    if (pump() == 0) std::this_thread::yield();
-  }
   return request.ticket;
 }
 
 std::size_t ConcurrentSharedMemory::Session::pump() {
+  const std::size_t drained = flush();
+  return drained + collect();
+}
+
+std::size_t ConcurrentSharedMemory::Session::flush() {
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < staged_.size(); ++s) {
+    std::vector<sim::ShardRequest>& staged = staged_[s];
+    if (staged.empty()) continue;
+    sim::SequencerShard& shard = *owner_.shards_[s];
+    std::size_t done = 0;
+    while (done < staged.size()) {
+      done += shard.try_submit_batch(staged.data() + done,
+                                     staged.size() - done);
+      if (done == staged.size()) break;
+      // Ring backpressure: keep draining our own grants so the shard
+      // always has somewhere to publish completions; never park holding
+      // a request.
+      ++submit_stalls_;
+      const std::size_t n = collect();
+      total += n;
+      if (n == 0) std::this_thread::yield();
+    }
+    staged.clear();
+  }
+  return total;
+}
+
+std::size_t ConcurrentSharedMemory::Session::collect() {
   std::size_t total = 0;
   for (;;) {
     const std::size_t n = grants_.pop_batch(pump_buf_.data(),
                                             pump_buf_.size());
     if (n == 0) break;
-    const std::uint64_t end_ns =
-        latency_sample_every_ > 0 ? now_ns() : 0;
+    std::uint64_t end_ns = 0;  // read once, and only for a sampled grant
     for (std::size_t i = 0; i < n; ++i) {
       const sim::ShardGrant& grant = pump_buf_[i];
       cost_ += grant.cost;
       if (grant.op == fsm::OpKind::kRead) last_read_value_ = grant.value;
-      if (grant.issue_ns != 0 && end_ns > grant.issue_ns)
-        latency_ns_.record(static_cast<double>(end_ns - grant.issue_ns));
+      if (grant.issue_ns != 0) {
+        if (end_ns == 0) end_ns = now_ns();
+        if (end_ns > grant.issue_ns)
+          latency_ns_.record(static_cast<double>(end_ns - grant.issue_ns));
+      }
       if (handler_) handler_(grant);
     }
     completed_ += n;
@@ -216,6 +242,9 @@ protocols::ProtocolKind ConcurrentSharedMemory::object_protocol(
 void ConcurrentSharedMemory::stop() {
   if (stopped_) return;
   stopped_ = true;
+  // Requests a session staged but never flushed still run: an issued op
+  // is never dropped.
+  for (auto& session : sessions_) session->flush();
   wall_ms_ = std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - start_)
                  .count();

@@ -10,15 +10,27 @@
 // Concurrency structure:
 //   * one Session per DSM client node; a session is confined to the one
 //     thread that uses it (its grant ring's consumer);
-//   * submit: session -> shard request ring (lock-free, bounded; a full
-//     ring is backpressure — the session pumps its grants and retries);
-//   * complete: shard -> session grant ring, one wake per session per
-//     drained batch;
+//   * issue: read/write/eject/sync stage the request in a per-shard
+//     buffer of the session; nothing crosses threads yet;
+//   * submit: every pump() — and so every drain(), read_sync() and
+//     window-full wait, before any park — first flushes each staged
+//     buffer into its shard's request ring with one batched push (one
+//     tail claim, one shard wake).  A full ring is backpressure: the
+//     session pumps its grants and pushes the rest, never parking while
+//     it holds a staged request;
+//   * complete: shard -> session grant ring, each session's grants of a
+//     drained batch published with one batched push and one wake;
 //   * ordering: a session's operations on one object complete in issue
 //     order (ring FIFO per producer + in-order shard processing); an
 //     operation on an object is atomic (the shard runs it to protocol
 //     quiescence before the next), so per-object histories are sequential
 //     and the coherence oracle referees live runs in kSequential mode.
+//
+// The contract for issue: an issued operation reaches its shard at the
+// session's next pump(), drain() or window wait.  A session that issues
+// below its window and never pumps keeps its operations staged; stop()
+// flushes whatever is still staged, so an issued operation is never
+// dropped.
 //
 // sync(object) is the barrier the paper's extension defines, and here it
 // is also the session-level fence: when the sync grant arrives, every
@@ -82,8 +94,10 @@ class ConcurrentSharedMemory {
   class Session {
    public:
     /// Asynchronous issues; each returns the session-local ticket that
-    /// will come back on the grant.  Blocks only when the window is full
-    /// (pumping grants while it waits).
+    /// will come back on the grant.  The request is staged; the next
+    /// pump()/drain()/window wait hands it to its shard.  Blocks only
+    /// when the window (staged plus in-ring operations) is full, pumping
+    /// grants while it waits.
     std::uint64_t read(ObjectId object);
     std::uint64_t write(ObjectId object, std::uint64_t value);
     /// write() with a runtime-stamped globally unique value — what the
@@ -92,7 +106,9 @@ class ConcurrentSharedMemory {
     std::uint64_t eject(ObjectId object);
     std::uint64_t sync(ObjectId object);
 
-    /// Drains ready grants; returns how many completed.  Never blocks.
+    /// Flushes staged requests to their shards, then drains ready grants;
+    /// returns how many completed.  Never parks (a full request ring
+    /// makes it yield until the shard frees slots).
     std::size_t pump();
     /// Blocks until every outstanding operation of this session has
     /// completed, then re-raises any shard failure.
@@ -125,6 +141,11 @@ class ConcurrentSharedMemory {
 
     std::uint64_t submit(fsm::OpKind op, ObjectId object,
                          std::uint64_t value);
+    /// Pushes every staged request to its shard; returns the grants
+    /// collected while waiting out a full ring.
+    std::size_t flush();
+    /// Drains ready grants; returns how many completed.
+    std::size_t collect();
     void park();
 
     ConcurrentSharedMemory& owner_;
@@ -143,6 +164,8 @@ class ConcurrentSharedMemory {
     std::uint64_t last_read_value_ = 0;
     obs::Quantile latency_ns_{0.005};
     std::vector<sim::ShardGrant> pump_buf_;
+    /// Issued requests not yet pushed, by shard, in issue order.
+    std::vector<std::vector<sim::ShardRequest>> staged_;
   };
 
   Session& session(NodeId client);
@@ -163,8 +186,10 @@ class ConcurrentSharedMemory {
   /// while no migration of this object is in flight.
   protocols::ProtocolKind object_protocol(ObjectId object) const;
 
-  /// Stops the shard event loops (sessions must be drained first) and
-  /// publishes runtime.* metrics.  Idempotent; the destructor calls it.
+  /// Stops the shard event loops and publishes runtime.* metrics.
+  /// Sessions must be idle (drained, or at least no longer used by their
+  /// threads): requests they staged but never flushed are submitted here
+  /// and run before the shards stop.  Idempotent; the destructor calls it.
   void stop();
 
   /// True once any shard hit a protocol invariant failure.

@@ -14,10 +14,15 @@
 //  * head and tail live on separate cache lines so producers and the
 //    consumer never false-share.
 //
+// Batched producers (try_push_batch) claim a contiguous run of free slots
+// with one CAS on the tail, publish the run slot by slot in order, and wake
+// the consumer once, so a cross-thread handoff costs one tail claim and
+// one wake per batch instead of per value.
+//
 // Per-producer FIFO follows from slot claiming: a producer's second push
-// claims a strictly later slot than its first, and the consumer drains in
-// slot order.  (This is what preserves each session's per-object program
-// order through a shard's request ring.)
+// (single or batched) claims strictly later slots than its first, and the
+// consumer drains in slot order.  (This is what preserves each session's
+// per-object program order through a shard's request ring.)
 //
 // Blocking is layered on top with an eventcount (EventGate): consumers
 // park on empty, producers park on full, and both sides re-check their
@@ -105,28 +110,52 @@ class MpscRing {
   /// Wakes a parked consumer unless `silent` (batch producers wake once at
   /// the end of the batch via wake_consumer()).
   bool try_push(const T& value, bool silent = false) {
+    return try_push_batch(&value, 1, silent) == 1;
+  }
+
+  /// Producer: enqueues the longest prefix of values[0, n) that fits, in
+  /// order, and returns its length (0 when the ring is full).  One CAS on
+  /// the tail claims the whole prefix of contiguous free slots, each slot
+  /// is then published in order, and one wake covers the batch unless
+  /// `silent`.  A call that enqueues fewer than `n` values counts one full
+  /// stall.  The prefix is contiguous in slot order, so per-producer FIFO
+  /// holds across batches exactly as it does for try_push().
+  std::size_t try_push_batch(const T* values, std::size_t n,
+                             bool silent = false) {
+    if (n == 0) return 0;
     std::uint64_t pos = tail_.load(std::memory_order_relaxed);
+    std::size_t free = 0;
     for (;;) {
-      Slot& slot = slots_[pos & mask_];
-      const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
       const std::int64_t dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-      if (dif == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          slot.value = value;
-          slot.seq.store(pos + 1, std::memory_order_release);
-          if (!silent) not_empty_.notify();
-          return true;
-        }
-        // CAS failure reloaded pos; retry with the new claim point.
-      } else if (dif < 0) {
+          static_cast<std::int64_t>(
+              slots_[pos & mask_].seq.load(std::memory_order_acquire)) -
+          static_cast<std::int64_t>(pos);
+      if (dif < 0) {
         full_stalls_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
+        return 0;
       }
+      if (dif > 0) {  // another producer claimed pos: reload the tail
+        pos = tail_.load(std::memory_order_relaxed);
+        continue;
+      }
+      free = 1;
+      while (free < n && free < capacity_ &&
+             slots_[(pos + free) & mask_].seq.load(
+                 std::memory_order_acquire) == pos + free)
+        ++free;
+      if (tail_.compare_exchange_weak(pos, pos + free,
+                                      std::memory_order_relaxed))
+        break;
+      // CAS failure reloaded pos; rescan from the new claim point.
     }
+    for (std::size_t i = 0; i < free; ++i) {
+      Slot& slot = slots_[(pos + i) & mask_];
+      slot.value = values[i];
+      slot.seq.store(pos + i + 1, std::memory_order_release);
+    }
+    if (free < n) full_stalls_.fetch_add(1, std::memory_order_relaxed);
+    if (!silent) not_empty_.notify();
+    return free;
   }
 
   /// Producer: enqueue, parking on the space gate while the ring is full.

@@ -89,12 +89,12 @@ void SequencerShard::stop() {
   stats_.ring_full_stalls = ring_.full_stalls();
 }
 
-void SequencerShard::handle(const ShardRequest& request) {
+bool SequencerShard::handle(const ShardRequest& request, ShardGrant& grant) {
   if (request.kind == ShardRequest::Kind::kMigrate) {
     SequentialRuntime& runtime = *runtimes_[local_index(request.object)];
     if (failed_.load(std::memory_order_relaxed) ||
         runtime.protocol() == request.migrate_to)
-      return;
+      return false;
     try {
       const OpResult seed = runtime.migrate(request.migrate_to);
       ++stats_.migrations;
@@ -104,9 +104,9 @@ void SequencerShard::handle(const ShardRequest& request) {
       if (!failed_.exchange(true, std::memory_order_acq_rel))
         error_ = e.what();
     }
-    return;
+    return false;
   }
-  ShardGrant grant;
+  grant = ShardGrant{};
   grant.object = request.object;
   grant.op = request.op;
   grant.ticket = request.ticket;
@@ -133,16 +133,30 @@ void SequencerShard::handle(const ShardRequest& request) {
     }
   }
   ++stats_.ops;
+  return true;
+}
+
+void SequencerShard::publish(Outbox& box) {
   // The session window bounds grant-ring occupancy, so this only spins if
   // a session consumed grants without decrementing its window (a bug).
-  while (!request.reply->try_push(grant, /*silent=*/true))
-    std::this_thread::yield();
+  const std::size_t n = box.grants.size();
+  std::size_t done = 0;
+  while (done < n) {
+    done += box.ring->try_push_batch(box.grants.data() + done, n - done,
+                                     /*silent=*/true);
+    if (done < n) std::this_thread::yield();
+  }
+  if (box.gate != nullptr) box.gate->notify();
+  box.grants.clear();
 }
 
 void SequencerShard::run() {
   std::vector<ShardRequest> batch(options_.max_batch);
-  std::vector<EventGate*> dirty;
-  dirty.reserve(16);
+  // Grants of the current batch, grouped by issuing node: every session
+  // is one node, so each outbox feeds exactly one grant ring.
+  std::vector<Outbox> outboxes(options_.config.num_clients);
+  std::vector<NodeId> touched;  // outboxes holding grants, first-use order
+  touched.reserve(outboxes.size());
   std::size_t idle_spins_left = options_.idle_spins;
   for (;;) {
     const std::size_t n = ring_.pop_batch(batch.data(), options_.max_batch);
@@ -166,16 +180,21 @@ void SequencerShard::run() {
       ring_.wait(ticket);
       continue;
     }
-    dirty.clear();
+    ShardGrant grant;
     for (std::size_t i = 0; i < n; ++i) {
-      handle(batch[i]);
-      EventGate* gate = batch[i].reply_gate;
-      if (gate != nullptr &&
-          std::find(dirty.begin(), dirty.end(), gate) == dirty.end())
-        dirty.push_back(gate);
+      const ShardRequest& request = batch[i];
+      if (!handle(request, grant)) continue;
+      Outbox& box = outboxes[request.node];
+      if (box.grants.empty()) {
+        box.ring = request.reply;
+        box.gate = request.reply_gate;
+        touched.push_back(request.node);
+      }
+      box.grants.push_back(grant);
     }
-    // One wake per session per batch, after all its grants are published.
-    for (EventGate* gate : dirty) gate->notify();
+    // One batched publish and one wake per session per batch.
+    for (const NodeId node : touched) publish(outboxes[node]);
+    touched.clear();
     ++stats_.batches;
     stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, n);
     idle_spins_left = options_.idle_spins;  // fresh budget after real work

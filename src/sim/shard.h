@@ -9,9 +9,12 @@
 //   SequentialRuntime::execute (atomic, run-to-quiescence) ──▶
 //   MpscRing<ShardGrant> back to the issuing session.
 //
-// Each wakeup drains up to max_batch requests, executes them back to
-// back (amortizing the park/unpark and dispatch overhead), then wakes
-// every session that received grants exactly once.  Per-object operation
+// Both crossings are batched.  Sessions stage their requests and push
+// each staged run with one MpscRing::try_push_batch (try_submit_batch).
+// Each wakeup drains up to max_batch requests and executes them back to
+// back (amortizing the park/unpark and dispatch overhead), collecting
+// the grants per destination session; then each session gets its grants
+// in one try_push_batch and exactly one wake.  Per-object operation
 // order inside a shard is the request-ring order, which preserves each
 // producer's program order (see mpsc_ring.h) — this is what lets the
 // coherence oracle referee a live run in its strict kSequential mode, per
@@ -65,7 +68,9 @@ struct ShardRequest {
   enum class Kind : std::uint8_t { kOp, kMigrate };
   Kind kind = Kind::kOp;
   fsm::OpKind op = fsm::OpKind::kRead;
-  NodeId node = 0;            // issuing DSM node (protocol client id)
+  NodeId node = 0;            // issuing DSM node (protocol client id);
+                              // also keys the shard's grant outbox, so
+                              // every op of one node names the same reply
   ObjectId object = 0;        // global object id
   std::uint64_t value = 0;    // write payload
   std::uint64_t ticket = 0;
@@ -112,6 +117,12 @@ class SequencerShard {
   bool try_submit(const ShardRequest& request) {
     return ring_.try_push(request);
   }
+  /// Batched try_submit: enqueues the longest prefix of requests[0, n)
+  /// that fits, in order, with one tail claim and one shard wake; returns
+  /// its length (0 = ring full).
+  std::size_t try_submit_batch(const ShardRequest* requests, std::size_t n) {
+    return ring_.try_push_batch(requests, n);
+  }
 
   /// A failed protocol invariant inside the loop (drsm::Error) stops the
   /// shard and is reported here; empty = clean.
@@ -142,8 +153,18 @@ class SequencerShard {
  private:
   class Relabel;
 
+  /// One batch's grants bound for one session, published together.
+  struct Outbox {
+    GrantRing* ring = nullptr;
+    EventGate* gate = nullptr;
+    std::vector<ShardGrant> grants;
+  };
+
   void run();
-  void handle(const ShardRequest& request);
+  /// Executes one request; fills `grant` and returns true for an op,
+  /// returns false for a migration (no reply).
+  bool handle(const ShardRequest& request, ShardGrant& grant);
+  void publish(Outbox& box);
   std::size_t local_index(ObjectId object) const;
 
   Options options_;

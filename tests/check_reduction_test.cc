@@ -378,5 +378,51 @@ TEST(ParallelCheckTest, ThreadCountDoesNotChangeResults) {
   }
 }
 
+// At N=3 the symmetry orbit members of one canonical key meet in the same
+// depth, and the POR singleton choice depends on which member's concrete
+// labelling stays in the frontier.  Keys are claimed in frontier order in
+// the serial merge, so the lowest (entry, candidate) index owns each key
+// and two threads reproduce the one-thread counts on every run.
+TEST(ParallelCheckTest, TwoThreadsReproduceOneThreadCountsAtN3) {
+  for (const auto kind : {ProtocolKind::kWriteOnce, ProtocolKind::kSynapse,
+                          ProtocolKind::kIllinois}) {
+    CheckConfig cfg;
+    cfg.protocol = kind;
+    cfg.num_clients = 3;
+    cfg.threads = 1;
+    const CheckResult serial = check::check_protocol(cfg);
+    ASSERT_TRUE(serial.ok()) << protocols::to_string(kind);
+    cfg.threads = 2;
+    for (int rep = 0; rep < 5; ++rep) {
+      const CheckResult parallel = check::check_protocol(cfg);
+      ASSERT_TRUE(parallel.ok()) << protocols::to_string(kind);
+      EXPECT_EQ(parallel.threads_used, 2u);
+      EXPECT_EQ(serial.states, parallel.states)
+          << protocols::to_string(kind) << " rep " << rep;
+      EXPECT_EQ(serial.transitions, parallel.transitions)
+          << protocols::to_string(kind) << " rep " << rep;
+      EXPECT_EQ(serial.probes, parallel.probes);
+      EXPECT_EQ(serial.max_depth, parallel.max_depth);
+      EXPECT_EQ(serial.por_pruned, parallel.por_pruned);
+      EXPECT_EQ(serial.symmetry_hits, parallel.symmetry_hits);
+    }
+  }
+  // A cap-truncated run keeps the same states too.
+  CheckConfig capped;
+  capped.protocol = ProtocolKind::kBerkeley;
+  capped.num_clients = 3;
+  capped.max_states = 2000;
+  capped.threads = 1;
+  const CheckResult serial = check::check_protocol(capped);
+  capped.threads = 2;
+  const CheckResult parallel = check::check_protocol(capped);
+  EXPECT_TRUE(serial.hit_state_cap);
+  EXPECT_TRUE(parallel.hit_state_cap);
+  EXPECT_EQ(serial.states, parallel.states);
+  EXPECT_EQ(serial.transitions, parallel.transitions);
+  EXPECT_EQ(serial.max_depth, parallel.max_depth);
+  EXPECT_EQ(serial.visited_state_names, parallel.visited_state_names);
+}
+
 }  // namespace
 }  // namespace drsm

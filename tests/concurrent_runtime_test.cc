@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -376,6 +377,131 @@ TEST(ConcurrentRuntimeTest, PublishesRuntimeMetrics) {
   EXPECT_EQ(metrics.find_gauge("runtime.shards")->value(), 2.0);
   ASSERT_NE(metrics.find_series("runtime.shard_ops"), nullptr);
   EXPECT_EQ(metrics.find_series("runtime.shard_ops")->points().size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Staged ingress: a session stages its issues and hands each shard the
+// whole batch at its next pump()/drain()/window wait.
+// ---------------------------------------------------------------------------
+
+// Ops issued below the window reach their shard on pump() alone: no drain,
+// no window wait.
+TEST(ConcurrentRuntimeTest, OpsBelowWindowCompleteOnPumpAlone) {
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = 1;
+  options.num_objects = 8;
+  options.num_shards = 2;
+  options.max_inflight = 64;
+  ConcurrentSharedMemory mem(options);
+  auto& session = mem.session(0);
+  for (ObjectId o = 0; o < 10; ++o) session.write(o % 8, 100 + o);
+  EXPECT_EQ(session.in_flight(), 10u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (session.completed() < 10 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (session.pump() == 0) std::this_thread::yield();
+  }
+  EXPECT_EQ(session.completed(), 10u);
+  EXPECT_EQ(session.in_flight(), 0u);
+  mem.stop();
+  EXPECT_EQ(mem.stats().ops, 10u);
+}
+
+// A 4-slot request ring under a 64-op window: every flush is cut into
+// partial pushes (counted as submit stalls) and still drains.
+TEST(ConcurrentRuntimeTest, PartialFlushesThroughTinyRing) {
+  check::ShardedOracle oracle(2);
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kBerkeley;
+  options.num_clients = 2;
+  options.num_objects = 4;
+  options.num_shards = 2;
+  options.max_inflight = 64;
+  options.ring_capacity = 4;
+  options.shard_taps = {oracle.tap(0), oracle.tap(1)};
+  ConcurrentSharedMemory mem(options);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < 2; ++c)
+      threads.emplace_back(client_main, std::ref(mem),
+                           static_cast<NodeId>(c), 21 + c, 3000);
+    for (auto& t : threads) t.join();
+  }
+  mem.stop();
+  oracle.finish();
+  EXPECT_TRUE(oracle.ok());
+  for (const std::string& v : oracle.violations()) ADD_FAILURE() << v;
+  EXPECT_EQ(mem.stats().ops, 2u * 3000u);
+  EXPECT_GT(mem.stats().submit_stalls, 0u);
+}
+
+/// Throws from inside the shard's protocol execution on the k-th write
+/// issue, the way a failed protocol invariant would.
+class FailingTap final : public sim::CoherenceTap {
+ public:
+  explicit FailingTap(std::size_t fail_at) : fail_at_(fail_at) {}
+  void on_write_issue(double, NodeId, ObjectId, std::uint64_t) override {
+    if (++writes_ == fail_at_) throw Error("injected shard failure");
+  }
+  void on_commit(double, NodeId, ObjectId, std::uint64_t,
+                 std::uint64_t) override {}
+  void on_read(double, NodeId, ObjectId, std::uint64_t,
+               std::uint64_t) override {}
+
+ private:
+  std::size_t fail_at_;
+  std::size_t writes_ = 0;
+};
+
+// A shard that fails mid-batch still grants every staged op behind the
+// failure, so drain() unwinds and then re-raises the failure.
+TEST(ConcurrentRuntimeTest, ShardFailureGrantsStagedOpsAndDrainRethrows) {
+  FailingTap tap(5);
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = 1;
+  options.num_objects = 2;
+  options.num_shards = 1;
+  options.max_inflight = 64;
+  options.shard_taps = {&tap};
+  ConcurrentSharedMemory mem(options);
+  auto& session = mem.session(0);
+  for (int i = 0; i < 40; ++i) session.write(i % 2, 1000 + i);
+  EXPECT_THROW(session.drain(), Error);
+  EXPECT_EQ(session.in_flight(), 0u);
+  EXPECT_EQ(session.completed(), 40u);
+  EXPECT_TRUE(mem.failed());
+  EXPECT_NE(mem.error().find("injected shard failure"), std::string::npos);
+  mem.stop();
+  EXPECT_EQ(mem.stats().ops, 40u);
+}
+
+// stop() with requests a session staged but never flushed submits them:
+// they run, count, and advance object versions.  Nothing is dropped.
+TEST(ConcurrentRuntimeTest, StopSubmitsStagedRequests) {
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = 2;
+  options.num_objects = 4;
+  options.num_shards = 2;
+  options.max_inflight = 64;
+  options.ring_capacity = 4;  // forces stop()'s flush through backpressure
+  ConcurrentSharedMemory mem(options);
+  std::vector<std::uint64_t> writes(4, 0);
+  for (NodeId c = 0; c < 2; ++c) {
+    for (int i = 0; i < 30; ++i) {
+      const ObjectId object = static_cast<ObjectId>((i + c) % 4);
+      mem.session(c).write(object, 1 + i);
+      ++writes[object];
+    }
+    mem.session(c).read(0);
+  }
+  mem.stop();
+  EXPECT_EQ(mem.stats().ops, 2u * 31u);
+  for (ObjectId o = 0; o < 4; ++o)
+    EXPECT_EQ(mem.object_version(o), writes[o]) << "object " << o;
 }
 
 TEST(ConcurrentRuntimeTest, RejectsUnsupportedOps) {

@@ -109,8 +109,14 @@ TEST(ConcurrentMigration, ThousandSeededMigratingRunsAreClean) {
         session.write_unique(object);
       else
         session.read(object);
-      if (i % 16 == 0)
+      if (i % 16 == 0) {
+        // Issued ops reach their shards at the session's next pump(), so
+        // pump both first: the migration then lands behind them in ring
+        // order, in the middle of the object's history.
+        memory.session(0).pump();
+        memory.session(1).pump();
         memory.migrate(object, cycle[rng.uniform_index(std::size(cycle))]);
+      }
     }
     memory.session(0).drain();
     memory.session(1).drain();
