@@ -193,11 +193,10 @@ CheckResult check_full(const CheckConfig& cfg) {
   return res;
 }
 
-/// One queued frontier state: a byte snapshot when the machines support
-/// the exact codec, a live clone otherwise, plus its search-tree index.
+/// One queued frontier state: its exact byte snapshot plus its
+/// search-tree index.
 struct Entry {
   std::vector<std::uint8_t> bytes;
-  std::unique_ptr<World> world;
   std::size_t tree = 0;
 };
 
@@ -210,7 +209,6 @@ struct SuccessorOut {
   const std::atomic<std::uint64_t>* owner = nullptr;  // the key's rank cell
   bool nontrivial = false;  // a non-identity permutation gave the key
   std::vector<std::uint8_t> bytes;
-  std::unique_ptr<World> world;
   std::vector<const char*> names;  // state_name() literals
   std::size_t probes = 0;
   const char* probe_invariant = nullptr;
@@ -233,18 +231,19 @@ struct EntryResult {
 };
 
 /// The scaled engine: canonical-hash dedup (lock-free StateStore),
-/// pure-absorption POR, per-depth parallel expansion, compact frontier.
+/// pure-absorption POR, per-depth parallel expansion, a frontier of byte
+/// snapshots.
 CheckResult check_reduced(const CheckConfig& cfg) {
   World init = make_initial_world(cfg);
 
   // The reductions require trusted state encodings, so both are gated on
   // the stock protocol machines (a machine_factory can inject fragments
-  // whose default encode_state/encode_relabeled would under-report).
+  // whose visit_fields declares less state than they hold).
   // trust_factory_encodings lifts the gate for factories whose machines
-  // implement the full codec contract (the migration wrappers).
+  // declare all of it (the migration wrappers).
   const bool trusted = !cfg.machine_factory || cfg.trust_factory_encodings;
-  const bool symmetry = cfg.symmetry_reduction && trusted &&
-                        cfg.num_clients >= 2 && supports_relabeling(init);
+  const bool symmetry =
+      cfg.symmetry_reduction && trusted && cfg.num_clients >= 2;
   const bool por = cfg.partial_order_reduction && trusted;
 
   std::vector<std::vector<NodeId>> perms;
@@ -264,24 +263,11 @@ CheckResult check_reduced(const CheckConfig& cfg) {
     return hash_bytes(scratch.data(), scratch.size());
   };
 
-  // Compact frontier only when every machine round-trips through the
-  // exact snapshot codec; otherwise fall back to live clones.
-  std::vector<std::uint8_t> init_bytes;
-  serialize_world(init, init_bytes);
-  bool compact;
-  {
-    World probe;
-    compact = deserialize_world(cfg, init_bytes.data(),
-                                init_bytes.data() + init_bytes.size(),
-                                probe);
-  }
-
   exec::ThreadPool pool(cfg.threads);
 
   CheckResult res;
   res.symmetry_applied = symmetry;
   res.por_applied = por;
-  res.compact_frontier = compact;
   res.threads_used = pool.threads();
 
   // Upper bound on successors of one state: every client issuing plus
@@ -334,10 +320,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
   std::vector<Entry> frontier;
   if (res.violations.empty()) {
     Entry e;
-    if (compact)
-      e.bytes = std::move(init_bytes);
-    else
-      e.world = std::make_unique<World>(std::move(init));
+    serialize_world(init, e.bytes);
     frontier.push_back(std::move(e));
   }
 
@@ -374,14 +357,9 @@ CheckResult check_reduced(const CheckConfig& cfg) {
       EntryResult& r = results[i];
       const Entry& entry = frontier[i];
 
-      World local;
-      if (compact) {
-        const bool ok = deserialize_world(
-            cfg, entry.bytes.data(),
-            entry.bytes.data() + entry.bytes.size(), local);
-        DRSM_CHECK(ok, "check: snapshot round-trip failed mid-search");
-      }
-      const World& w = compact ? local : *entry.world;
+      World w;
+      deserialize_world(cfg, entry.bytes.data(),
+                        entry.bytes.data() + entry.bytes.size(), w);
 
       std::vector<Candidate> candidates;
       enumerate_candidates(w, candidates);
@@ -464,10 +442,7 @@ CheckResult check_reduced(const CheckConfig& cfg) {
           }
         }
         const bool probe_failed = succ.probe_invariant != nullptr;
-        if (compact)
-          serialize_world(s, succ.bytes);
-        else
-          succ.world = std::make_unique<World>(std::move(s));
+        serialize_world(s, succ.bytes);
         r.succs.push_back(std::move(succ));
         if (probe_failed && serial) {
           stop.store(true, std::memory_order_relaxed);
@@ -527,7 +502,6 @@ CheckResult check_reduced(const CheckConfig& cfg) {
         res.max_depth = std::max(res.max_depth, depth + 1);
         Entry e;
         e.bytes = std::move(succ->bytes);
-        e.world = std::move(succ->world);
         e.tree = tree.size() - 1;
         next.push_back(std::move(e));
       }

@@ -8,7 +8,7 @@
 // enabled action fires next — a client issuing an operation, or the head
 // of one channel being delivered.  BFS over that nondeterminism enumerates
 // every reachable global state for small configurations, deduplicating on
-// the machines' total-state encodings (fsm::ProtocolMachine::encode_full)
+// the machines' behaviour keys (fsm::ProtocolMachine::encode_full)
 // plus channel contents and per-client issue bookkeeping.
 //
 // Checked on every reachable state:
@@ -37,7 +37,7 @@
 // Scaling (see check/world.h for the correctness arguments):
 //  * symmetry reduction — states are deduplicated on a canonical key
 //    invariant under client permutation, shrinking the space by up to
-//    N! for the protocols whose machines support relabeled encodings;
+//    N! (every machine's behaviour key relabels; see fsm/mealy.h);
 //  * partial-order reduction — a delivery that provably changes nothing
 //    (a "pure absorption": redundant invalidation, stale update) is
 //    expanded alone instead of interleaved with every other action;
@@ -110,12 +110,10 @@ struct CheckConfig {
   bool check_exclusivity = true;
 
   /// Symmetry and partial-order reduction are normally disabled when a
-  /// machine_factory is set, because a hand-built fragment's default
-  /// encode_state/encode_relabeled would under-report its state.  Set this
-  /// when every factory-built machine implements the full codec contract
-  /// (encode_full, encode_relabeled, encode_state/decode_state) — e.g. the
-  /// dsm migration wrappers — so the reductions apply to factory worlds
-  /// too.  The reduction-soundness gate is still the kFullExpansion
+  /// machine_factory is set, because a hand-built fragment's visit_fields
+  /// may declare less state than it holds.  Set this when every
+  /// factory-built machine declares all of it — e.g. the dsm migration
+  /// wrappers — so the reductions apply to factory worlds too.  The reduction-soundness gate is still the kFullExpansion
   /// cross-check; asserting reduced == full for the factory world is the
   /// caller's responsibility (tests/migration_test.cc does).
   bool trust_factory_encodings = false;
@@ -132,9 +130,8 @@ struct CheckConfig {
   Expansion expansion = Expansion::kReduced;
 
   /// Dedup on canonical (client-permutation-invariant) keys.  Applies
-  /// only when every machine supports encode_relabeled and no
-  /// machine_factory is set; CheckResult::symmetry_applied reports
-  /// whether it actually ran.
+  /// only with N >= 2 and no untrusted machine_factory;
+  /// CheckResult::symmetry_applied reports whether it actually ran.
   bool symmetry_reduction = true;
 
   /// Expand provably-inert deliveries (pure absorptions) alone instead
@@ -192,8 +189,7 @@ struct CheckResult {
   std::size_t symmetry_hits = 0;
   std::size_t por_pruned = 0;
   bool symmetry_applied = false;  // reduction actually ran (machines
-  bool por_applied = false;       // support it, mode allows it)
-  bool compact_frontier = false;  // frontier held byte snapshots
+  bool por_applied = false;       // trusted, mode allows it)
   std::size_t threads_used = 1;
 
   double wall_seconds = 0.0;  // exploration wall time

@@ -4,7 +4,7 @@
 #include <map>
 #include <unordered_set>
 
-#include "protocols/detail.h"
+#include "fsm/field_codec.h"
 #include "support/error.h"
 #include "support/hash.h"
 #include "support/text.h"
@@ -17,8 +17,6 @@ using fsm::MsgType;
 using fsm::OpKind;
 using fsm::ParamPresence;
 using fsm::QueueKind;
-
-namespace pdetail = protocols::detail;
 
 /// MachineContext over a World: sends queue into the channels, completions
 /// update the pending bookkeeping, and every oracle-relevant callback is
@@ -360,13 +358,12 @@ bool encode_key_relabeled(const World& w, const NodeId* map,
   NodeId full[256];
   NodeId inv[256];
   for (std::size_t n = 0; n < nodes; ++n)
-    full[n] = pdetail::map_node(static_cast<NodeId>(n), map, clients);
+    full[n] = n < clients ? map[n] : static_cast<NodeId>(n);
   for (std::size_t n = 0; n < nodes; ++n) inv[full[n]] = static_cast<NodeId>(n);
 
   key.clear();
   for (std::size_t j = 0; j < nodes; ++j)
-    if (!w.machines[inv[j]]->encode_relabeled(key, map, clients))
-      return false;
+    w.machines[inv[j]]->encode_relabeled(key, map, clients);
   for (std::size_t new_src = 0; new_src < nodes; ++new_src) {
     for (std::size_t new_dst = 0; new_dst < nodes; ++new_dst) {
       const auto& channel = w.channels[inv[new_src] * nodes + inv[new_dst]];
@@ -377,7 +374,8 @@ bool encode_key_relabeled(const World& w, const NodeId* map,
         // transition — same exclusions as encode_key.
         key.push_back(static_cast<std::uint8_t>(msg.token.type));
         key.push_back(static_cast<std::uint8_t>(
-            pdetail::map_node(msg.token.initiator, map, clients)));
+            msg.token.initiator < clients ? map[msg.token.initiator]
+                                          : msg.token.initiator));
         key.push_back(static_cast<std::uint8_t>(msg.token.object));
         key.push_back(static_cast<std::uint8_t>(msg.token.params));
       }
@@ -393,25 +391,13 @@ bool encode_key_relabeled(const World& w, const NodeId* map,
   return true;
 }
 
-bool supports_relabeling(const World& w) {
-  std::vector<NodeId> identity(w.num_clients());
-  for (std::size_t c = 0; c < identity.size(); ++c)
-    identity[c] = static_cast<NodeId>(c);
-  std::vector<std::uint8_t> scratch;
-  for (const auto& machine : w.machines)
-    if (!machine->encode_relabeled(scratch, identity.data(), identity.size()))
-      return false;
-  return true;
-}
-
 CanonicalHash canonical_hash(const World& w,
                              const std::vector<std::vector<NodeId>>& perms,
                              std::vector<std::uint8_t>& scratch) {
   CanonicalHash result;
   std::uint64_t identity_hash = 0;
   for (std::size_t i = 0; i < perms.size(); ++i) {
-    const bool ok = encode_key_relabeled(w, perms[i].data(), scratch);
-    DRSM_CHECK(ok, "canonical_hash on a machine without relabeling support");
+    encode_key_relabeled(w, perms[i].data(), scratch);
     const std::uint64_t h = hash_bytes(scratch.data(), scratch.size());
     if (i == 0) {
       identity_hash = h;
@@ -424,85 +410,67 @@ CanonicalHash canonical_hash(const World& w,
   return result;
 }
 
+namespace {
+
+/// Writes or reads a hashed map, sorted so equal Worlds give equal bytes.
+template <class Map>
+void visit_map(fsm::FieldCodec& f, Map& map) {
+  auto size = static_cast<std::uint32_t>(map.size());
+  f.data(size);
+  if (f.decoding()) {
+    map.clear();
+    for (std::uint32_t i = 0; i < size; ++i) {
+      typename Map::key_type key = 0;
+      typename Map::mapped_type value = 0;
+      f.data(key);
+      f.data(value);
+      map.emplace(key, value);
+    }
+    return;
+  }
+  std::map<typename Map::key_type, typename Map::mapped_type> sorted(
+      map.begin(), map.end());
+  for (const auto& entry : sorted) {
+    typename Map::key_type key = entry.first;
+    typename Map::mapped_type value = entry.second;
+    f.data(key);
+    f.data(value);
+  }
+}
+
+/// Everything of a World after its machines, in snapshot order.
+void visit_world(fsm::FieldCodec& f, World& w) {
+  for (auto& channel : w.channels) f.messages(channel);
+  for (std::size_t c = 0; c < w.num_clients(); ++c) {
+    f.data(w.pending[c]);
+    f.data(w.reads_left[c]);
+    f.data(w.writes_left[c]);
+  }
+  for (std::uint8_t& disabled : w.disabled) f.data(disabled);
+  for (std::uint64_t& version : w.last_read_version) f.data(version);
+  f.data(w.version_counter);
+  f.data(w.issue_counter);
+  f.data(w.latest_version);
+  f.data(w.latest_value);
+  visit_map(f, w.commit_log);
+  visit_map(f, w.issued);
+}
+
+}  // namespace
+
 void serialize_world(const World& w, std::vector<std::uint8_t>& out) {
   out.clear();
-  const std::size_t nodes = w.num_nodes();
-  const std::size_t clients = nodes - 1;
   for (const auto& machine : w.machines) machine->encode_state(out);
-  for (const auto& channel : w.channels) {
-    out.push_back(static_cast<std::uint8_t>(channel.size()));
-    for (const Message& msg : channel) pdetail::encode_message(out, msg);
-  }
-  for (std::size_t c = 0; c < clients; ++c) {
-    out.push_back(w.pending[c]);
-    out.push_back(w.reads_left[c]);
-    out.push_back(w.writes_left[c]);
-  }
-  for (std::size_t n = 0; n < nodes; ++n) out.push_back(w.disabled[n]);
-  for (std::size_t n = 0; n < nodes; ++n)
-    pdetail::put_u64(out, w.last_read_version[n]);
-  pdetail::put_u64(out, w.version_counter);
-  pdetail::put_u64(out, w.issue_counter);
-  pdetail::put_u64(out, w.latest_version);
-  pdetail::put_u64(out, w.latest_value);
-  // Hash maps serialize in sorted order so equal Worlds give equal bytes.
-  pdetail::put_u32(out, static_cast<std::uint32_t>(w.commit_log.size()));
-  {
-    std::map<std::uint64_t, std::uint64_t> sorted(w.commit_log.begin(),
-                                                  w.commit_log.end());
-    for (const auto& [ver, val] : sorted) {
-      pdetail::put_u64(out, ver);
-      pdetail::put_u64(out, val);
-    }
-  }
-  pdetail::put_u32(out, static_cast<std::uint32_t>(w.issued.size()));
-  {
-    std::map<std::uint64_t, NodeId> sorted(w.issued.begin(), w.issued.end());
-    for (const auto& [val, writer] : sorted) {
-      pdetail::put_u64(out, val);
-      pdetail::put_u32(out, writer);
-    }
-  }
+  fsm::FieldCodec f(fsm::FieldCodec::View::kSnapshot, out);
+  visit_world(f, const_cast<World&>(w));  // the snapshot view only reads
 }
 
 bool deserialize_world(const CheckConfig& cfg, const std::uint8_t* p,
                        const std::uint8_t* end, World& out) {
   out = make_initial_world(cfg);
-  const std::size_t nodes = out.num_nodes();
-  const std::size_t clients = nodes - 1;
-  for (auto& machine : out.machines)
-    if (!machine->decode_state(p, end)) return false;
-  for (auto& channel : out.channels) {
-    channel.clear();
-    const std::size_t count = pdetail::take_u8(p, end);
-    for (std::size_t i = 0; i < count; ++i)
-      channel.push_back(pdetail::decode_message(p, end));
-  }
-  for (std::size_t c = 0; c < clients; ++c) {
-    out.pending[c] = pdetail::take_u8(p, end);
-    out.reads_left[c] = pdetail::take_u8(p, end);
-    out.writes_left[c] = pdetail::take_u8(p, end);
-  }
-  for (std::size_t n = 0; n < nodes; ++n)
-    out.disabled[n] = pdetail::take_u8(p, end);
-  for (std::size_t n = 0; n < nodes; ++n)
-    out.last_read_version[n] = pdetail::take_u64(p, end);
-  out.version_counter = pdetail::take_u64(p, end);
-  out.issue_counter = pdetail::take_u64(p, end);
-  out.latest_version = pdetail::take_u64(p, end);
-  out.latest_value = pdetail::take_u64(p, end);
-  const std::size_t commits = pdetail::take_u32(p, end);
-  for (std::size_t i = 0; i < commits; ++i) {
-    const std::uint64_t ver = pdetail::take_u64(p, end);
-    const std::uint64_t val = pdetail::take_u64(p, end);
-    out.commit_log.emplace(ver, val);
-  }
-  const std::size_t issues = pdetail::take_u32(p, end);
-  for (std::size_t i = 0; i < issues; ++i) {
-    const std::uint64_t val = pdetail::take_u64(p, end);
-    const NodeId writer = pdetail::take_u32(p, end);
-    out.issued.emplace(val, writer);
-  }
+  for (auto& machine : out.machines) machine->decode_state(p, end);
+  fsm::FieldCodec f(fsm::FieldCodec::View::kSnapshotDecode, p, end);
+  visit_world(f, out);
   DRSM_CHECK(p == end, "deserialize_world: trailing bytes");
   return true;
 }

@@ -1,7 +1,7 @@
 // The model checker's global-state representation and the operations the
 // search loop composes: step application, invariant checks, quiescent read
-// probes, symmetry canonicalization and the exact-snapshot codec behind
-// the compact frontier.  Split out of model_checker.cc so the search
+// probes, symmetry canonicalization and the exact-snapshot codec the
+// frontier stores its states in.  Split out of model_checker.cc so the search
 // strategy (serial reference vs reduced parallel BFS) and the state
 // semantics evolve independently, and so the reduction machinery is
 // testable on its own (tests/check_reduction_test.cc).
@@ -113,14 +113,9 @@ void encode_key(const World& w, std::vector<std::uint8_t>& key);
 
 /// encode_key under the client relabeling `map`: machines are emitted in
 /// new-id order via encode_relabeled, channels re-indexed, message
-/// initiators mapped, per-client bookkeeping permuted.  Returns false if
-/// some machine does not support relabeling.
+/// initiators mapped, per-client bookkeeping permuted.  Returns true.
 bool encode_key_relabeled(const World& w, const NodeId* map,
                           std::vector<std::uint8_t>& key);
-
-/// True when every machine in `w` supports encode_relabeled — the gate
-/// for enabling symmetry reduction.
-bool supports_relabeling(const World& w);
 
 struct CanonicalHash {
   std::uint64_t hash = 0;  // min over the permutation orbit
@@ -136,7 +131,7 @@ CanonicalHash canonical_hash(const World& w,
                              std::vector<std::uint8_t>& scratch);
 
 // ---------------------------------------------------------------------------
-// Exact snapshot codec (the compact frontier's storage format).
+// Exact snapshot codec (the frontier's storage format).
 // ---------------------------------------------------------------------------
 
 /// Serializes *everything* — machines via encode_state, channels with full
@@ -146,8 +141,8 @@ CanonicalHash canonical_hash(const World& w,
 void serialize_world(const World& w, std::vector<std::uint8_t>& out);
 
 /// Rebuilds a World from serialize_world bytes, constructing fresh
-/// machines under `cfg`.  Returns false when some machine does not
-/// support decode_state (the checker then falls back to cloned Worlds).
+/// machines under `cfg`.  Returns true; malformed bytes throw
+/// drsm::Error.
 bool deserialize_world(const CheckConfig& cfg, const std::uint8_t* p,
                        const std::uint8_t* end, World& out);
 

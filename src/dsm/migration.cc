@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "protocols/detail.h"
 #include "support/error.h"
 
 namespace drsm::dsm {
@@ -13,8 +12,6 @@ using fsm::MsgType;
 using fsm::OpKind;
 using fsm::ParamPresence;
 using fsm::QueueKind;
-
-namespace pdetail = protocols::detail;
 
 /// Control tokens ride the reserved object id 1; the migrated data object
 /// is 0.  The types are reused from the existing MsgType set (the dense
@@ -115,65 +112,38 @@ class MigrationMachine final : public fsm::ProtocolMachine {
     return copy;
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    encode_full(out);
-  }
-
-  /// Behaviour key.  The ack/token bitsets are emitted as *counts*: which
-  /// clients have acked is fully determined by the rest of the global
-  /// state (a client wrapper's phase says whether it acked, the channels
-  /// show acks in flight), so the count is behaviourally sufficient — and
-  /// being permutation-invariant it lets symmetry merge states the bitset
-  /// would keep apart.  The exact bitsets live in encode_state.  The snoop
-  /// pair is data and stays out, except the one bit that selects the
-  /// seed-vs-skip branch.
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    encode_wrapper(out);
-    inner_->encode_full(out);
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t num_clients) const override {
-    encode_wrapper(out);  // counts are already permutation-invariant
-    return inner_->encode_relabeled(out, map, num_clients);
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(phase_));
-    out.push_back(epoch_);
-    out.push_back(pack_flags());
-    out.push_back(static_cast<std::uint8_t>(synthetic_));
-    out.push_back(deliveries_);
-    pdetail::put_u32(out, drain_acks_);
-    pdetail::put_u32(out, fence_dones_);
-    pdetail::put_u32(out, switch_acks_);
-    pdetail::put_u32(out, tokens_seen_);
-    pdetail::put_u64(out, snoop_value_);
-    pdetail::put_u64(out, snoop_version_);
-    inner_->encode_state(out);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    phase_ = static_cast<Phase>(pdetail::take_u8(p, end));
-    epoch_ = pdetail::take_u8(p, end);
-    const std::uint8_t flags = pdetail::take_u8(p, end);
-    op_pending_ = (flags & 1u) != 0;
-    inner_disabled_ = (flags & 2u) != 0;
-    out_disabled_ = (flags & 4u) != 0;
-    hold_ = (flags & 8u) != 0;
-    fence_start_seen_ = (flags & 16u) != 0;
-    self_token_seen_ = (flags & 32u) != 0;
-    synthetic_ = static_cast<Synthetic>(pdetail::take_u8(p, end));
-    deliveries_ = pdetail::take_u8(p, end);
-    drain_acks_ = pdetail::take_u32(p, end);
-    fence_dones_ = pdetail::take_u32(p, end);
-    switch_acks_ = pdetail::take_u32(p, end);
-    tokens_seen_ = pdetail::take_u32(p, end);
-    snoop_value_ = pdetail::take_u64(p, end);
-    snoop_version_ = pdetail::take_u64(p, end);
-    inner_ = protocols::make_machine(epoch_ != 0 ? opts_.to : opts_.from,
-                                     node_, opts_.num_clients);
-    return inner_->decode_state(p, end);
+  /// Behaviour keys carry the ack/token sets as *counts*: which clients
+  /// have acked is fully determined by the rest of the global state (a
+  /// client wrapper's phase says whether it acked, the channels show acks
+  /// in flight), so the count is behaviourally sufficient — and being
+  /// permutation-invariant it lets symmetry merge states the sets would
+  /// keep apart.  The exact sets are snapshot data, and so is the snoop
+  /// pair, except the one bit that selects the seed-vs-skip branch.  The
+  /// inner machine is visited in place; a decode first re-makes it for
+  /// the decoded epoch.
+  void visit_fields(fsm::FieldCodec& f) override {
+    f.control(phase_);
+    f.control(epoch_, 2);
+    f.transient(op_pending_);
+    f.control(inner_disabled_);
+    f.control(out_disabled_);
+    f.control(hold_);
+    f.control(fence_start_seen_);
+    f.control(self_token_seen_);
+    f.transient(synthetic_);
+    f.control(deliveries_);
+    for (std::uint32_t* set :
+         {&drain_acks_, &fence_dones_, &switch_acks_, &tokens_seen_}) {
+      f.summary(static_cast<std::uint8_t>(popcount(*set)));
+      f.data(*set);
+    }
+    f.summary(snoop_version_ > 0 ? 1 : 0);
+    f.data(snoop_value_);
+    f.data(snoop_version_);
+    if (f.decoding())
+      inner_ = protocols::make_machine(epoch_ != 0 ? opts_.to : opts_.from,
+                                       node_, opts_.num_clients);
+    inner_->visit_fields(f);
   }
 
   bool quiescent() const override {
@@ -474,28 +444,6 @@ class MigrationMachine final : public fsm::ProtocolMachine {
       ctx.send(ctx.home(), ctrl(MsgType::kSyncAck, node_));
     // Fires exactly once: FENCE-START and each token arrive once
     // (asserted above), and the condition is monotone.
-  }
-
-  // -- encodings ----------------------------------------------------------
-
-  std::uint8_t pack_flags() const {
-    return static_cast<std::uint8_t>(
-        (op_pending_ ? 1u : 0u) | (inner_disabled_ ? 2u : 0u) |
-        (out_disabled_ ? 4u : 0u) | (hold_ ? 8u : 0u) |
-        (fence_start_seen_ ? 16u : 0u) | (self_token_seen_ ? 32u : 0u));
-  }
-
-  void encode_wrapper(std::vector<std::uint8_t>& out) const {
-    out.push_back(static_cast<std::uint8_t>(phase_));
-    out.push_back(epoch_);
-    out.push_back(pack_flags());
-    out.push_back(static_cast<std::uint8_t>(synthetic_));
-    out.push_back(deliveries_);
-    out.push_back(static_cast<std::uint8_t>(popcount(drain_acks_)));
-    out.push_back(static_cast<std::uint8_t>(popcount(fence_dones_)));
-    out.push_back(static_cast<std::uint8_t>(popcount(switch_acks_)));
-    out.push_back(static_cast<std::uint8_t>(popcount(tokens_seen_)));
-    out.push_back(snoop_version_ > 0 ? 1 : 0);  // selects seed vs skip
   }
 
   static int popcount(std::uint32_t v) {

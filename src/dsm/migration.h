@@ -84,9 +84,9 @@ struct MigrationWorldOptions {
 };
 
 /// The migration wrapper machine for `node` (clients 0..N-1, home N).
-/// Implements the full model-checker codec contract (encode_full,
-/// encode_relabeled, encode_state/decode_state), so the reduced engine's
-/// symmetry + POR apply (CheckConfig::trust_factory_encodings).
+/// Declares all its state (the inner machine's included) in visit_fields,
+/// so the reduced engine's symmetry + POR apply
+/// (CheckConfig::trust_factory_encodings).
 std::unique_ptr<fsm::ProtocolMachine> make_migration_machine(
     const MigrationWorldOptions& options, NodeId node);
 

@@ -14,6 +14,7 @@
 #include <initializer_list>
 #include <vector>
 
+#include "fsm/field_codec.h"
 #include "fsm/token.h"
 #include "support/types.h"
 
@@ -107,82 +108,75 @@ class ProtocolMachine {
 
   virtual std::unique_ptr<ProtocolMachine> clone() const = 0;
 
-  /// Appends this machine's protocol-relevant state (copy state plus any
-  /// auxiliary fields that influence future behaviour, e.g. the believed
-  /// owner).  Data values/versions are deliberately excluded: the analytic
-  /// engine keys its Markov states on this encoding.
-  virtual void encode(std::vector<std::uint8_t>& out) const = 0;
+  /// The machine's state schema: hands every field to `f` once, under
+  /// the tag that says what the field is.  A field that matters only
+  /// under some control value (the request a pending recall serves) is
+  /// visited only under that condition, read from fields visited before
+  /// it.  Every codec below is this one visit under a different
+  /// FieldCodec view:
+  ///
+  ///   tag            key  behaviour  relabeled      snapshot
+  ///   control        yes  yes        yes            yes
+  ///   transient      -    yes        yes            yes
+  ///   data           -    -          -              yes
+  ///   node id        yes  yes        mapped         yes
+  ///   client set     yes  yes        permuted       yes
+  ///   message(s)     -    token      token, mapped  every field
+  ///   summary        yes  yes        yes            -
+  ///
+  /// Keys are taken only at quiescence, so their decode resets transient
+  /// fields and buffered messages, and leaves data stale: data never
+  /// selects a transition, so two machines whose keys agree behave alike
+  /// on every future trace.  A relabeling sends client id i to map[i] and
+  /// fixes the home node and kNoNode, so two machines whose relabeled
+  /// keys agree under one map behave alike once the whole system is
+  /// relabeled the same way — the client symmetry the checker's orbit
+  /// reduction rests on.  The snapshot is exact: decode_state() on a
+  /// freshly constructed machine, then any message sequence, is
+  /// indistinguishable from the original.
+  virtual void visit_fields(FieldCodec& f) = 0;
 
-  /// Inverse of encode(): restores the protocol-relevant state from the
-  /// bytes at `p` (bounded by `end`), advancing `p` past what it consumed.
-  /// Keys are produced only at quiescence, so implementations also clear
-  /// any transient fields (pending operations, deferred queues).  Data
-  /// values/versions are not part of the encoding and stay stale — by the
-  /// same argument that lets encode() omit them, they cannot influence
-  /// future traces.  Returns false when the machine does not support
-  /// restoration (the default); the machine state is then unspecified and
-  /// the caller must discard the runtime.  The analytic enumerator uses
-  /// this to re-materialize Markov states from their keys instead of
-  /// deep-copying whole runtimes per transition.
-  virtual bool decode(const std::uint8_t*& p, const std::uint8_t* end) {
-    (void)p;
-    (void)end;
-    return false;
+  /// Appends the quiescent key (the analytic engine's Markov state).
+  void encode(std::vector<std::uint8_t>& out) const {
+    FieldCodec f(FieldCodec::View::kKey, out);
+    visit(f);
   }
 
-  /// Total-state encoding: like encode(), but defined in *every* state,
-  /// including mid-flight (non-quiescent) ones, and covering the transient
-  /// fields encode() may omit (pending operations, deferred queues, recall
-  /// bookkeeping).  The model checker keys its explored global states on
-  /// this, so two machines with equal encodings must behave identically on
-  /// every future input.  Data values/versions stay excluded by the same
-  /// argument as in encode().  Defaults to encode() for machines with no
-  /// transient state.
-  virtual void encode_full(std::vector<std::uint8_t>& out) const {
-    encode(out);
+  /// Restores from an encode() key at `p` (bounded by `end`), advancing
+  /// `p`.  Malformed bytes throw drsm::Error.
+  void decode(const std::uint8_t*& p, const std::uint8_t* end) {
+    FieldCodec f(FieldCodec::View::kKeyDecode, p, end);
+    visit_fields(f);
   }
 
-  /// Role-aware variant of encode_full() for the model checker's symmetry
-  /// reduction: appends exactly the bytes encode_full() would, but with
-  /// every NodeId embedded in the machine state (believed owners, per-node
-  /// bitsets, buffered-token initiators) relabeled through `map`.  `map`
-  /// has `num_clients` entries sending client id i to map[i]; the home
-  /// node (id == num_clients) and kNoNode are fixed points and must be
-  /// passed through unchanged.  Two machines whose relabeled encodings
-  /// agree under the same map must behave identically when the whole
-  /// system (peers, channels, in-flight messages) is relabeled the same
-  /// way — this is what lets the checker collapse permutation-equivalent
-  /// global states to one canonical representative.  Returns false when
-  /// the machine does not support relabeling (the default); the checker
-  /// then disables symmetry reduction for the run.
-  virtual bool encode_relabeled(std::vector<std::uint8_t>& out,
-                                const NodeId* map,
-                                std::size_t num_clients) const {
-    (void)out;
-    (void)map;
-    (void)num_clients;
-    return false;
+  /// Appends the behaviour key, defined in every state (the checker's
+  /// dedup key).
+  void encode_full(std::vector<std::uint8_t>& out) const {
+    FieldCodec f(FieldCodec::View::kBehaviour, out);
+    visit(f);
   }
 
-  /// Exact-snapshot codec, the pair the checker's compact frontier uses to
-  /// re-materialize a machine from bytes instead of holding live clones.
-  /// Unlike encode_full(), which deliberately omits data (values, versions,
-  /// buffered message payloads) because data never selects a transition,
-  /// encode_state() must capture *every* field: decode_state() on a
-  /// freshly constructed machine followed by any message sequence must be
-  /// indistinguishable from the original.  Defaults to encode_full() /
-  /// unsupported — correct only for machines with no data fields at all
-  /// (the hand-built test fragments); every real protocol overrides both.
-  virtual void encode_state(std::vector<std::uint8_t>& out) const {
-    encode_full(out);
+  /// encode_full() under the client relabeling `map` (`num_clients`
+  /// entries).  Returns true.
+  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
+                        std::size_t num_clients) const {
+    FieldCodec f(FieldCodec::View::kRelabeled, out, map, num_clients);
+    visit(f);
+    return true;
   }
 
-  /// Inverse of encode_state().  Returns false when unsupported (the
-  /// default); the checker then falls back to cloning whole machines.
-  virtual bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) {
-    (void)p;
-    (void)end;
-    return false;
+  /// Appends the exact snapshot.
+  void encode_state(std::vector<std::uint8_t>& out) const {
+    FieldCodec f(FieldCodec::View::kSnapshot, out);
+    visit(f);
+  }
+
+  /// Inverse of encode_state().  Returns true; malformed bytes throw
+  /// drsm::Error.
+  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) {
+    FieldCodec f(FieldCodec::View::kSnapshotDecode, p, end);
+    visit_fields(f);
+    return true;
   }
 
   /// True when the machine holds no in-flight transient state (no pending
@@ -192,6 +186,12 @@ class ProtocolMachine {
 
   /// Human-readable copy state, for traces and tests.
   virtual const char* state_name() const = 0;
+
+ private:
+  // Encoding views only read the fields they are handed.
+  void visit(FieldCodec& f) const {
+    const_cast<ProtocolMachine*>(this)->visit_fields(f);
+  }
 };
 
 }  // namespace drsm::fsm

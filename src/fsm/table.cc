@@ -142,17 +142,11 @@ std::unique_ptr<ProtocolMachine> TableMachine::clone() const {
   return std::make_unique<TableMachine>(*this);
 }
 
-void TableMachine::encode(std::vector<std::uint8_t>& out) const {
-  out.push_back(static_cast<std::uint8_t>(state_));
-}
-
-bool TableMachine::decode(const std::uint8_t*& p, const std::uint8_t* end) {
-  DRSM_CHECK(p < end, "decode: truncated state key");
-  const int state = static_cast<int>(*p++);
-  DRSM_CHECK(state >= 0 && state < table_->num_states(),
-             "decode: state out of range for this table");
-  state_ = state;
-  return true;
+void TableMachine::visit_fields(FieldCodec& f) {
+  f.control(state_, static_cast<unsigned>(table_->num_states()));
+  f.data(value_);
+  f.data(version_);
+  f.data(pending_write_);
 }
 
 const char* TableMachine::state_name() const {

@@ -116,8 +116,7 @@ class TableMachine : public ProtocolMachine {
 
   void on_message(MachineContext& ctx, const Message& msg) override;
   std::unique_ptr<ProtocolMachine> clone() const override;
-  void encode(std::vector<std::uint8_t>& out) const override;
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override;
+  void visit_fields(FieldCodec& f) override;
   const char* state_name() const override;
 
   int state() const { return state_; }

@@ -170,54 +170,14 @@ class BerkeleyNode final : public ProtocolMachine {
     return std::make_unique<BerkeleyNode>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-    for (int shift = 0; shift < 32; shift += 8)
-      out.push_back(static_cast<std::uint8_t>(owner_ >> shift));
-  }
-
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    encode(out);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(inval_raced_ ? 1 : 0);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<BerState>(detail::take_u8(p, end));
-    owner_ = detail::take_u32(p, end);
-    pending_ = PendingOp::kNone;
-    inval_raced_ = false;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-    detail::put_u32(out, detail::map_node(owner_, map, n));
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(inval_raced_ ? 1 : 0);
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-    detail::put_u32(out, owner_);
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(inval_raced_ ? 1 : 0);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<BerState>(detail::take_u8(p, end));
-    owner_ = detail::take_u32(p, end);
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    pending_ = static_cast<PendingOp>(detail::take_u8(p, end));
-    inval_raced_ = detail::take_u8(p, end) != 0;
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.control(state_);
+    f.node(owner_);
+    f.transient(pending_);
+    f.transient(inval_raced_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   bool quiescent() const override { return pending_ == PendingOp::kNone; }

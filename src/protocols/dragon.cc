@@ -47,30 +47,9 @@ class DragonClient final : public ProtocolMachine {
     return std::make_unique<DragonClient>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);  // single state SHARED-CLEAN
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    detail::take_u8(p, end);
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.data(value_);
+    f.data(version_);
   }
 
   const char* state_name() const override { return "SHARED-CLEAN"; }
@@ -119,30 +98,9 @@ class DragonSequencer final : public ProtocolMachine {
     return std::make_unique<DragonSequencer>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);  // single state SHARED-DIRTY
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    detail::take_u8(p, end);
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.data(value_);
+    f.data(version_);
   }
 
   const char* state_name() const override { return "SHARED-DIRTY"; }

@@ -55,40 +55,11 @@ class FireflyClient final : public ProtocolMachine {
     return std::make_unique<FireflyClient>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);  // single state SHARED
-  }
-
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);
-    out.push_back(pending_ ? 1 : 0);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    detail::take_u8(p, end);
-    pending_ = false;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(pending_ ? 1 : 0);
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    pending_ = detail::take_u8(p, end) != 0;
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.transient(pending_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   bool quiescent() const override { return !pending_; }
@@ -144,30 +115,9 @@ class FireflySequencer final : public ProtocolMachine {
     return std::make_unique<FireflySequencer>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);  // single state VALID
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    detail::take_u8(p, end);
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.data(value_);
+    f.data(version_);
   }
 
   const char* state_name() const override { return "VALID"; }

@@ -103,34 +103,11 @@ class IllinoisClient final : public ProtocolMachine {
     return std::make_unique<IllinoisClient>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<IllState>(detail::take_u8(p, end));
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<IllState>(detail::take_u8(p, end));
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.control(state_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   const char* state_name() const override {
@@ -208,125 +185,16 @@ class IllinoisSequencer final : public ProtocolMachine {
     return std::make_unique<IllinoisSequencer>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    DRSM_CHECK(quiescent(), "ILL sequencer encoded mid-recall");
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    for (int shift = 0; shift < 32; shift += 8)
-      out.push_back(static_cast<std::uint8_t>(
-          (owner_ == kNoNode ? 0u : owner_) >> shift));
-    // Valid bitset, packed.
-    std::uint8_t acc = 0;
-    int bits = 0;
-    for (std::size_t i = 0; i < valid_.size(); ++i) {
-      acc = static_cast<std::uint8_t>(acc | ((valid_[i] ? 1 : 0) << bits));
-      if (++bits == 8) {
-        out.push_back(acc);
-        acc = 0;
-        bits = 0;
-      }
-    }
-    if (bits != 0) out.push_back(acc);
-  }
-
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out, owner_ == kNoNode ? 0u : owner_);
-    std::uint8_t acc = 0;
-    int bits = 0;
-    for (std::size_t i = 0; i < valid_.size(); ++i) {
-      acc = static_cast<std::uint8_t>(acc | ((valid_[i] ? 1 : 0) << bits));
-      if (++bits == 8) {
-        out.push_back(acc);
-        acc = 0;
-        bits = 0;
-      }
-    }
-    if (bits != 0) out.push_back(acc);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(recall_kept_copy_ ? 1 : 0);
-    if (pending_ != Pending::kNone) detail::encode_token(out, pending_msg_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    const bool has_owner = detail::take_u8(p, end) != 0;
-    const NodeId owner = detail::take_u32(p, end);
-    owner_ = has_owner ? owner : kNoNode;
-    for (std::size_t i = 0; i < valid_.size(); i += 8) {
-      const std::uint8_t acc = detail::take_u8(p, end);
-      for (std::size_t bit = 0; bit < 8 && i + bit < valid_.size(); ++bit)
-        valid_[i + bit] = ((acc >> bit) & 1) != 0;
-    }
-    pending_ = Pending::kNone;
-    recall_kept_copy_ = false;
-    deferred_.clear();
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out,
-                    owner_ == kNoNode ? 0u : detail::map_node(owner_, map, n));
-    // The per-client valid bitset indexes clients by id, so the bits
-    // themselves move under the relabeling: new bit map[i] = old bit i.
-    std::vector<bool> relabeled(valid_.size(), false);
-    for (std::size_t i = 0; i < valid_.size(); ++i)
-      if (valid_[i]) relabeled[detail::map_node(static_cast<NodeId>(i), map,
-                                                n)] = true;
-    std::uint8_t acc = 0;
-    int bits = 0;
-    for (std::size_t i = 0; i < relabeled.size(); ++i) {
-      acc = static_cast<std::uint8_t>(acc | ((relabeled[i] ? 1 : 0) << bits));
-      if (++bits == 8) {
-        out.push_back(acc);
-        acc = 0;
-        bits = 0;
-      }
-    }
-    if (bits != 0) out.push_back(acc);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(recall_kept_copy_ ? 1 : 0);
-    if (pending_ != Pending::kNone)
-      detail::encode_token_relabeled(out, pending_msg_, map, n);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-    detail::put_u32(out, owner_);
-    out.push_back(static_cast<std::uint8_t>(valid_.size()));
-    for (std::size_t i = 0; i < valid_.size(); ++i)
-      out.push_back(valid_[i] ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    out.push_back(recall_kept_copy_ ? 1 : 0);
-    detail::encode_message(out, pending_msg_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_message(out, msg);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    owner_ = detail::take_u32(p, end);
-    valid_.assign(detail::take_u8(p, end), false);
-    for (std::size_t i = 0; i < valid_.size(); ++i)
-      valid_[i] = detail::take_u8(p, end) != 0;
-    pending_ = static_cast<Pending>(detail::take_u8(p, end));
-    recall_kept_copy_ = detail::take_u8(p, end) != 0;
-    pending_msg_ = detail::decode_message(p, end);
-    deferred_.clear();
-    const std::size_t count = detail::take_u8(p, end);
-    for (std::size_t i = 0; i < count; ++i)
-      deferred_.push_back(detail::decode_message(p, end));
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.node(owner_);
+    f.clients(valid_);
+    f.transient(pending_);
+    f.transient(recall_kept_copy_);
+    if (pending_ != Pending::kNone) f.message(pending_msg_);
+    f.messages(deferred_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   bool quiescent() const override {

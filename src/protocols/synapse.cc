@@ -94,42 +94,12 @@ class SynapseClient final : public ProtocolMachine {
     return std::make_unique<SynapseClient>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-  }
-
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-    out.push_back(static_cast<std::uint8_t>(pending_));
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<SynState>(detail::take_u8(p, end));
-    pending_ = PendingOp::kNone;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<SynState>(detail::take_u8(p, end));
-    pending_ = static_cast<PendingOp>(detail::take_u8(p, end));
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.control(state_);
+    f.transient(pending_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   bool quiescent() const override { return pending_ == PendingOp::kNone; }
@@ -241,79 +211,16 @@ class SynapseSequencer final : public ProtocolMachine {
     return std::make_unique<SynapseSequencer>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    DRSM_CHECK(quiescent(), "SYN sequencer encoded mid-recall");
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    for (int shift = 0; shift < 32; shift += 8)
-      out.push_back(static_cast<std::uint8_t>(
-          (owner_ == kNoNode ? 0u : owner_) >> shift));
-  }
-
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out, owner_ == kNoNode ? 0u : owner_);
-    out.push_back(recalling_ ? 1 : 0);
-    out.push_back(nack_requester_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(local_op_));
-    if (recalling_) detail::encode_token(out, recall_cause_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    const bool has_owner = detail::take_u8(p, end) != 0;
-    const NodeId owner = detail::take_u32(p, end);
-    owner_ = has_owner ? owner : kNoNode;
-    recalling_ = false;
-    nack_requester_ = false;
-    local_op_ = LocalOp::kNone;
-    deferred_.clear();
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out,
-                    owner_ == kNoNode ? 0u : detail::map_node(owner_, map, n));
-    out.push_back(recalling_ ? 1 : 0);
-    out.push_back(nack_requester_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(local_op_));
-    if (recalling_)
-      detail::encode_token_relabeled(out, recall_cause_, map, n);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-    detail::put_u32(out, owner_);
-    out.push_back(recalling_ ? 1 : 0);
-    out.push_back(nack_requester_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(local_op_));
-    detail::encode_message(out, recall_cause_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_message(out, msg);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    owner_ = detail::take_u32(p, end);
-    recalling_ = detail::take_u8(p, end) != 0;
-    nack_requester_ = detail::take_u8(p, end) != 0;
-    local_op_ = static_cast<LocalOp>(detail::take_u8(p, end));
-    recall_cause_ = detail::decode_message(p, end);
-    deferred_.clear();
-    const std::size_t count = detail::take_u8(p, end);
-    for (std::size_t i = 0; i < count; ++i)
-      deferred_.push_back(detail::decode_message(p, end));
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.node(owner_);
+    f.transient(recalling_);
+    f.transient(nack_requester_);
+    f.transient(local_op_);
+    if (recalling_) f.message(recall_cause_);
+    f.messages(deferred_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   bool quiescent() const override { return !recalling_ && deferred_.empty(); }

@@ -132,34 +132,11 @@ class WoClient final : public ProtocolMachine {
     return std::make_unique<WoClient>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<WoState>(detail::take_u8(p, end));
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(static_cast<std::uint8_t>(state_));
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    state_ = static_cast<WoState>(detail::take_u8(p, end));
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.control(state_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   const char* state_name() const override {
@@ -251,69 +228,14 @@ class WoSequencer final : public ProtocolMachine {
     return std::make_unique<WoSequencer>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    DRSM_CHECK(quiescent(), "WO sequencer encoded mid-recall");
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    for (int shift = 0; shift < 32; shift += 8)
-      out.push_back(static_cast<std::uint8_t>(
-          (owner_ == kNoNode ? 0u : owner_) >> shift));
-  }
-
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out, owner_ == kNoNode ? 0u : owner_);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    if (pending_ != Pending::kNone) detail::encode_token(out, pending_msg_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    const bool has_owner = detail::take_u8(p, end) != 0;
-    const NodeId owner = detail::take_u32(p, end);
-    owner_ = has_owner ? owner : kNoNode;
-    pending_ = Pending::kNone;
-    deferred_.clear();
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
-    out.push_back(owner_ == kNoNode ? 0 : 1);
-    detail::put_u32(out,
-                    owner_ == kNoNode ? 0u : detail::map_node(owner_, map, n));
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    if (pending_ != Pending::kNone)
-      detail::encode_token_relabeled(out, pending_msg_, map, n);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-    detail::put_u32(out, owner_);
-    out.push_back(static_cast<std::uint8_t>(pending_));
-    detail::encode_message(out, pending_msg_);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_message(out, msg);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    owner_ = detail::take_u32(p, end);
-    pending_ = static_cast<Pending>(detail::take_u8(p, end));
-    pending_msg_ = detail::decode_message(p, end);
-    deferred_.clear();
-    const std::size_t count = detail::take_u8(p, end);
-    for (std::size_t i = 0; i < count; ++i)
-      deferred_.push_back(detail::decode_message(p, end));
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.node(owner_);
+    f.transient(pending_);
+    if (pending_ != Pending::kNone) f.message(pending_msg_);
+    f.messages(deferred_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   bool quiescent() const override {

@@ -81,32 +81,10 @@ class WtClient final : public ProtocolMachine {
     return std::make_unique<WtClient>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(valid_ ? 1 : 0);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    valid_ = detail::take_u8(p, end) != 0;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(valid_ ? 1 : 0);
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    valid_ = detail::take_u8(p, end) != 0;
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.control(valid_);
+    f.data(value_);
+    f.data(version_);
   }
 
   const char* state_name() const override {
@@ -164,30 +142,9 @@ class WtSequencer final : public ProtocolMachine {
     return std::make_unique<WtSequencer>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(1);  // always VALID
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    detail::take_u8(p, end);
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.data(value_);
+    f.data(version_);
   }
 
   const char* state_name() const override { return "VALID"; }

@@ -94,34 +94,11 @@ class WtvClient final : public ProtocolMachine {
     return std::make_unique<WtvClient>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(valid_ ? 1 : 0);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    valid_ = detail::take_u8(p, end) != 0;
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId*,
-                        std::size_t) const override {
-    encode_full(out);  // no NodeIds in the encoding
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    out.push_back(valid_ ? 1 : 0);
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    detail::put_u64(out, pending_value_);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    valid_ = detail::take_u8(p, end) != 0;
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    pending_value_ = detail::take_u64(p, end);
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.control(valid_);
+    f.data(value_);
+    f.data(version_);
+    f.data(pending_value_);
   }
 
   const char* state_name() const override {
@@ -200,52 +177,11 @@ class WtvSequencer final : public ProtocolMachine {
     return std::make_unique<WtvSequencer>(*this);
   }
 
-  void encode(std::vector<std::uint8_t>& out) const override {
-    DRSM_CHECK(quiescent(), "WTV sequencer encoded while granting");
-    out.push_back(1);
-  }
-
-  void encode_full(std::vector<std::uint8_t>& out) const override {
-    out.push_back(1);
-    out.push_back(granting_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_token(out, msg);
-  }
-
-  bool decode(const std::uint8_t*& p, const std::uint8_t* end) override {
-    detail::take_u8(p, end);
-    granting_ = false;
-    deferred_.clear();
-    return true;
-  }
-
-  bool encode_relabeled(std::vector<std::uint8_t>& out, const NodeId* map,
-                        std::size_t n) const override {
-    out.push_back(1);
-    out.push_back(granting_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_)
-      detail::encode_token_relabeled(out, msg, map, n);
-    return true;
-  }
-
-  void encode_state(std::vector<std::uint8_t>& out) const override {
-    detail::put_u64(out, value_);
-    detail::put_u64(out, version_);
-    out.push_back(granting_ ? 1 : 0);
-    out.push_back(static_cast<std::uint8_t>(deferred_.size()));
-    for (const Message& msg : deferred_) detail::encode_message(out, msg);
-  }
-
-  bool decode_state(const std::uint8_t*& p, const std::uint8_t* end) override {
-    value_ = detail::take_u64(p, end);
-    version_ = detail::take_u64(p, end);
-    granting_ = detail::take_u8(p, end) != 0;
-    deferred_.clear();
-    const std::size_t count = detail::take_u8(p, end);
-    for (std::size_t i = 0; i < count; ++i)
-      deferred_.push_back(detail::decode_message(p, end));
-    return true;
+  void visit_fields(FieldCodec& f) override {
+    f.transient(granting_);
+    f.messages(deferred_);
+    f.data(value_);
+    f.data(version_);
   }
 
   bool quiescent() const override { return !granting_ && deferred_.empty(); }

@@ -655,43 +655,16 @@ struct EventSimulator::Impl {
     // traces (e.g. invalidations behind a fire-and-forget write) still
     // execute and are charged, so measured costs cover whole traces.
     const auto wall_start = std::chrono::steady_clock::now();
-    if (options.dispatch == DispatchKind::kDenseTable) {
-      // Production loop: zero-copy batched-tick pops (the queue hands out
-      // whole one-tick FIFOs without re-touching the wheel) driven
-      // through a flat function-pointer table indexed by the event type.
-      // The popped record stays valid for the whole handler call — the
-      // arena recycles it on the next pop — so the Message payload is
-      // never copied out of the queue.
-      while (SimEvent* ev = events.pop_next()) {
-        DRSM_CHECK(ev->time >= now, "time went backwards");
-        now = ev->time;
-        kDispatch[static_cast<std::size_t>(ev->type)](*this, *ev);
-      }
-    } else {
-      // Reference loop: per-event copy-out switch, kept as the
-      // differential baseline for tests/sim_determinism_test.cc.
-      SimEvent ev;
-      while (events.pop(ev)) {
-        DRSM_CHECK(ev.time >= now, "time went backwards");
-        now = ev.time;
-        switch (ev.type) {
-          case SimEventType::kDeliver:
-            if (ev.msg_id != 0) [[unlikely]]
-              deliver_traced(ev.node, ev.msg, ev.msg_id);
-            else
-              route(ev.node, ev.msg);
-            break;
-          case SimEventType::kProcess:
-            handle(ev.node, ev.msg);
-            busy[ev.node] = 0;
-            try_process(ev.node);
-            break;
-          case SimEventType::kStartOp:
-            if (!stopped_issuing)
-              start_op(ev.node, {ev.object, ev.op, /*think_time=*/0});
-            break;
-        }
-      }
+    // Zero-copy batched-tick pops (the queue hands out whole one-tick
+    // FIFOs without re-touching the wheel) driven through a flat
+    // function-pointer table indexed by the event type.  The popped record
+    // stays valid for the whole handler call — the arena recycles it on
+    // the next pop — so the Message payload is never copied out of the
+    // queue.
+    while (SimEvent* ev = events.pop_next()) {
+      DRSM_CHECK(ev->time >= now, "time went backwards");
+      now = ev->time;
+      kDispatch[static_cast<std::size_t>(ev->type)](*this, *ev);
     }
     // Wall-clock throughput of the event loop.  Only ever published as a
     // gauge: simulated results stay bit-identical regardless of how fast

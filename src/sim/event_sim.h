@@ -31,9 +31,6 @@
 
 namespace drsm::sim {
 
-/// Event-loop dispatch selector — see SimOptions::dispatch.
-enum class DispatchKind : std::uint8_t { kDenseTable, kClassicSwitch };
-
 /// Supplies each node's next application operation.  Implementations own
 /// their randomness (see src/workload).
 class WorkloadDriver {
@@ -151,15 +148,6 @@ struct SimOptions {
   /// compare against.  Both pop in (time, schedule order), so results are
   /// identical either way.
   SchedulerKind scheduler = SchedulerKind::kTimeWheel;
-
-  /// Event-loop dispatch structure.  kDenseTable (the production path)
-  /// drives a flat function-pointer table indexed by SimEventType over
-  /// the queue's zero-copy batched-tick pop; kClassicSwitch is the
-  /// per-event copy-out switch loop kept as the differential reference.
-  /// Both execute handlers in the same (time, seq) order, so simulated
-  /// results are bit-identical either way — enforced on all eight
-  /// protocols by tests/sim_determinism_test.cc.
-  DispatchKind dispatch = DispatchKind::kDenseTable;
 };
 
 /// Observer invoked for every inter-node message (used by the trace

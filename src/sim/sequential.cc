@@ -333,14 +333,12 @@ void SequentialRuntime::encode_state(std::vector<std::uint8_t>& out) const {
   }
 }
 
-bool SequentialRuntime::restore_state(const std::vector<std::uint8_t>& key) {
+void SequentialRuntime::restore_state(const std::vector<std::uint8_t>& key) {
   DRSM_CHECK(network_.empty(), "restore_state: network not quiescent");
   const std::uint8_t* p = key.data();
   const std::uint8_t* end = p + key.size();
-  for (const auto& machine : machines_)
-    if (!machine->decode(p, end)) return false;
+  for (const auto& machine : machines_) machine->decode(p, end);
   DRSM_CHECK(p == end, "restore_state: trailing bytes in state key");
-  return true;
 }
 
 const char* SequentialRuntime::state_name(NodeId node) const {

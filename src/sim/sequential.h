@@ -87,13 +87,12 @@ class SequentialRuntime {
   void encode_state(std::vector<std::uint8_t>& out) const;
 
   /// Restores all machines from a key produced by encode_state() on a
-  /// runtime with the same protocol, config and roster.  Returns false if
-  /// any machine does not implement fsm::ProtocolMachine::decode — the
-  /// machine states are then unspecified and the runtime must be
-  /// discarded.  On success the runtime is quiescent and ready to
-  /// execute() from the restored state.  Data values/versions are not
-  /// restored (they are not part of the key and do not influence traces).
-  bool restore_state(const std::vector<std::uint8_t>& key);
+  /// runtime with the same protocol, config and roster; the runtime is
+  /// then quiescent and ready to execute() from the restored state.  Data
+  /// values/versions are not restored (they are not part of the key and
+  /// do not influence traces).  A truncated or over-long key throws
+  /// drsm::Error, leaving the machine states unspecified.
+  void restore_state(const std::vector<std::uint8_t>& key);
 
   /// The value and version of the globally latest sequenced write.
   std::uint64_t latest_value() const { return latest_value_; }

@@ -69,7 +69,6 @@ TEST_P(ReductionSoundnessTest, ReducedMatchesFullExpansionVerdict) {
   EXPECT_LE(r.transitions, f.transitions);
   EXPECT_TRUE(r.symmetry_applied);
   EXPECT_TRUE(r.por_applied);
-  EXPECT_TRUE(r.compact_frontier);
   EXPECT_FALSE(f.symmetry_applied);
   EXPECT_FALSE(f.por_applied);
 

@@ -105,7 +105,6 @@ TEST(ExhaustiveCheckLarge, WriteThroughThreeClients) {
   EXPECT_FALSE(result.hit_state_cap);
   EXPECT_TRUE(result.symmetry_applied);
   EXPECT_TRUE(result.por_applied);
-  EXPECT_TRUE(result.compact_frontier);
   EXPECT_GT(result.states, 1'000u);
   EXPECT_LT(result.states, 33'897u / 10);
   EXPECT_GT(result.symmetry_hits, 0u);
@@ -147,9 +146,7 @@ class BlackHoleMachine final : public fsm::ProtocolMachine {
   std::unique_ptr<fsm::ProtocolMachine> clone() const override {
     return std::make_unique<BlackHoleMachine>(*this);
   }
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);
-  }
+  void visit_fields(fsm::FieldCodec&) override {}
   const char* state_name() const override { return "HOLE"; }
 };
 
@@ -165,9 +162,7 @@ class WriteRejectingMachine final : public fsm::ProtocolMachine {
   std::unique_ptr<fsm::ProtocolMachine> clone() const override {
     return std::make_unique<WriteRejectingMachine>(*this);
   }
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);
-  }
+  void visit_fields(fsm::FieldCodec&) override {}
   const char* state_name() const override { return "REJECT"; }
 };
 
@@ -178,9 +173,7 @@ class AlwaysDirtyMachine final : public fsm::ProtocolMachine {
   std::unique_ptr<fsm::ProtocolMachine> clone() const override {
     return std::make_unique<AlwaysDirtyMachine>(*this);
   }
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);
-  }
+  void visit_fields(fsm::FieldCodec&) override {}
   const char* state_name() const override { return "DIRTY"; }
 };
 

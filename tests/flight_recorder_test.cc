@@ -114,9 +114,7 @@ class SwallowingMachine final : public fsm::ProtocolMachine {
   std::unique_ptr<fsm::ProtocolMachine> clone() const override {
     return std::make_unique<SwallowingMachine>(*this);
   }
-  void encode(std::vector<std::uint8_t>& out) const override {
-    out.push_back(0);
-  }
+  void visit_fields(fsm::FieldCodec&) override {}
   const char* state_name() const override { return "SWALLOW"; }
 };
 

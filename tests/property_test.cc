@@ -9,6 +9,8 @@
 //    independent systems.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "analytic/solver.h"
 #include "sim/event_sim.h"
 #include "sim/sequential.h"
@@ -197,19 +199,43 @@ TEST(Property, EncodeStateIsStableAcrossClones) {
 // ---------------------------------------------------------------------------
 
 TEST(Property, ChainStateSpaceSizes) {
-  sim::SystemConfig config = make_config(12);
-  const auto spec = workload::read_disturbance(0.3, 0.05, 3);
-  // Write-Through: center {V, I} x disturbers {V, I}^3 = 16 states.
-  analytic::ProtocolChain wt(ProtocolKind::kWriteThrough, config, spec);
-  EXPECT_EQ(wt.num_states(), 16u);
-  // Dragon: a single always-valid global state.
-  analytic::ProtocolChain dragon(ProtocolKind::kDragon, config, spec);
-  EXPECT_EQ(dragon.num_states(), 1u);
-  // Berkeley: strictly more states (ownership location matters), but
-  // bounded by owner-choices x copy-state product.
-  analytic::ProtocolChain berkeley(ProtocolKind::kBerkeley, config, spec);
-  EXPECT_GT(berkeley.num_states(), 16u);
-  EXPECT_LE(berkeley.num_states(), 2u * 16u);
+  // Exact Markov-state counts of every protocol under the three
+  // homogeneous deviations (N=12, a=beta=3).  A quiescent key that gains
+  // a transient field or loses a control field moves a count here even
+  // where acc would not move.  Write-Through: center {V, I} x disturbers
+  // {V, I}^3 = 16 under read disturbance; Dragon and Firefly: a single
+  // always-valid global state; Berkeley: ownership location matters.
+  struct Sizes {
+    ProtocolKind kind;
+    std::size_t read, write, multi;
+  };
+  constexpr Sizes kSizes[] = {
+      {ProtocolKind::kWriteThrough, 16, 2, 8},
+      {ProtocolKind::kWriteThroughV, 16, 8, 8},
+      {ProtocolKind::kWriteOnce, 18, 13, 14},
+      {ProtocolKind::kSynapse, 17, 6, 11},
+      {ProtocolKind::kIllinois, 17, 9, 11},
+      {ProtocolKind::kBerkeley, 24, 9, 20},
+      {ProtocolKind::kDragon, 1, 1, 1},
+      {ProtocolKind::kFirefly, 1, 1, 1},
+  };
+  static_assert(std::size(kSizes) == std::size(protocols::kAllProtocols));
+  const sim::SystemConfig config = make_config(12);
+  const auto read = workload::read_disturbance(0.3, 0.05, 3);
+  const auto write = workload::write_disturbance(0.3, 0.05, 3);
+  const auto multi = workload::multiple_activity_centers(0.3, 3);
+  for (const Sizes& want : kSizes) {
+    const char* name = protocols::to_string(want.kind);
+    EXPECT_EQ(analytic::ProtocolChain(want.kind, config, read).num_states(),
+              want.read)
+        << name << " read disturbance";
+    EXPECT_EQ(analytic::ProtocolChain(want.kind, config, write).num_states(),
+              want.write)
+        << name << " write disturbance";
+    EXPECT_EQ(analytic::ProtocolChain(want.kind, config, multi).num_states(),
+              want.multi)
+        << name << " multiple activity centers";
+  }
 }
 
 }  // namespace

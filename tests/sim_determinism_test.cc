@@ -62,11 +62,9 @@ using testing::Trajectory;
 // Runs the golden scenario and folds every observed message into an
 // FNV-1a hash over (time, src, dst, five-tuple, payload).
 std::pair<Trajectory, SimStats> run_golden(
-    ProtocolKind kind, sim::SchedulerKind scheduler,
-    sim::DispatchKind dispatch = sim::DispatchKind::kDenseTable) {
+    ProtocolKind kind, sim::SchedulerKind scheduler) {
   SimOptions options = golden_options();
   options.scheduler = scheduler;
-  options.dispatch = dispatch;
   EventSimulator simulator(kind, golden_config(), options);
   Trajectory traj;
   simulator.set_observer([&](SimTime time, NodeId src, NodeId dst,
@@ -141,28 +139,6 @@ TEST_P(GoldenTrajectoryTest, BinaryHeapReferenceMatchesGoldens) {
   EXPECT_EQ(traj.hash, golden.hash);
   EXPECT_EQ(traj.events, golden.events);
   EXPECT_EQ(stats.end_time, golden.end_time);
-}
-
-// The dense dispatch table (the production event loop) and the classic
-// switch reference must both reproduce the golden trajectories — the
-// dispatch restructuring is a pure control-flow change, so any divergence
-// in hash, cost, or end time is a bug, not noise.
-TEST_P(GoldenTrajectoryTest, DenseDispatchMatchesClassicSwitchGoldens) {
-  const Golden& golden = GetParam();
-  const auto [dense_traj, dense_stats] = run_golden(
-      golden.kind, sim::SchedulerKind::kTimeWheel,
-      sim::DispatchKind::kDenseTable);
-  const auto [classic_traj, classic_stats] = run_golden(
-      golden.kind, sim::SchedulerKind::kTimeWheel,
-      sim::DispatchKind::kClassicSwitch);
-  EXPECT_EQ(dense_traj.hash, golden.hash);
-  EXPECT_EQ(classic_traj.hash, golden.hash);
-  EXPECT_EQ(dense_traj.events, classic_traj.events);
-  EXPECT_EQ(dense_stats.measured_cost, classic_stats.measured_cost);
-  EXPECT_EQ(dense_stats.measured_ops, classic_stats.measured_ops);
-  EXPECT_EQ(dense_stats.messages, classic_stats.messages);
-  EXPECT_EQ(dense_stats.latency_sum, classic_stats.latency_sum);
-  EXPECT_EQ(dense_stats.end_time, classic_stats.end_time);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, GoldenTrajectoryTest,

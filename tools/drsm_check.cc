@@ -253,10 +253,9 @@ int main(int argc, char** argv) try {
                             : "VIOLATION");
     if (result.symmetry_applied || result.por_applied)
       std::printf("    reductions: %zu symmetry hits, %zu POR-pruned "
-                  "siblings, %zu threads%s\n",
+                  "siblings, %zu threads\n",
                   result.symmetry_hits, result.por_pruned,
-                  result.threads_used,
-                  result.compact_frontier ? ", compact frontier" : "");
+                  result.threads_used);
     if (result.hit_state_cap) {
       capped = true;
       std::printf("    *** STATE CAP HIT: exploration stopped at %zu "
