@@ -150,8 +150,8 @@ int main() {
   report.phase("online");
   adaptive::AdaptiveSharedMemory::Options options;
   options.memory = memory_options(ProtocolKind::kWriteThrough);
-  options.epoch_ops = 128;
-  options.window = 256;
+  options.policy.decide_every = 128;
+  options.policy.window = 256;
   adaptive::AdaptiveSharedMemory adaptive_memory(options);
   std::vector<double> adaptive_phase_cost(phases().size(), 0.0);
   drive([&](NodeId n, ObjectId j) { adaptive_memory.read(n, j); },
@@ -196,8 +196,8 @@ int main() {
   dsm::ConcurrentSharedMemory concurrent(copts);
 
   adaptive::OnlineController::Options conopts;
-  conopts.decide_every = 1024;
-  conopts.window = 2048;
+  conopts.policy.decide_every = 1024;
+  conopts.policy.window = 2048;
   adaptive::OnlineController controller(concurrent, conopts);
   for (std::size_t c = 0; c < kClients; ++c) {
     const NodeId node = static_cast<NodeId>(c);

@@ -81,8 +81,8 @@ int main() {
   adaptive::AdaptiveSharedMemory::Options adaptive_options;
   adaptive_options.memory = base_options();
   adaptive_options.memory.protocol = protocols::ProtocolKind::kWriteThrough;
-  adaptive_options.epoch_ops = 512;
-  adaptive_options.window = 1024;
+  adaptive_options.policy.decide_every = 512;
+  adaptive_options.policy.window = 1024;
   adaptive::AdaptiveSharedMemory adaptive_memory(adaptive_options);
   const double adaptive_cost = run_phases(adaptive_memory, "classifier");
   std::printf("adaptive total cost: %.0f (%zu protocol switches)\n\n",

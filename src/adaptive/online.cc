@@ -1,7 +1,6 @@
 #include "adaptive/online.h"
 
-#include <algorithm>
-#include <chrono>
+#include <iterator>
 
 #include "support/error.h"
 
@@ -9,30 +8,14 @@ namespace drsm::adaptive {
 
 using protocols::ProtocolKind;
 
-namespace {
-
-obs::AccessStatsOptions telemetry_options(std::size_t window) {
-  obs::AccessStatsOptions options;
-  options.window_ops = std::max<std::size_t>(1, window / 2);
-  return options;
-}
-
-}  // namespace
-
 OnlineController::OnlineController(dsm::ConcurrentSharedMemory& memory,
                                    const Options& options)
-    : memory_(memory),
-      options_(options),
-      selector_(sim::SystemConfig{memory.options().num_clients,
-                                  memory.options().costs, 1},
-                options.candidates),
-      ring_(options.ring_capacity),
-      stats_(telemetry_options(options.window)),
-      current_(memory.options().num_objects, memory.options().protocol),
-      cooldown_until_(memory.options().num_objects, 0) {
-  DRSM_CHECK(options_.decide_every >= 1, "decide_every must be positive");
-  DRSM_CHECK(options_.hot_k >= 1, "hot_k must be positive");
-}
+    : SelfTuner(options.policy, memory.options().num_clients,
+                memory.options().num_objects, memory.options().costs,
+                memory.options().protocol),
+      memory_(memory),
+      metrics_(options.metrics),
+      ring_(kRingCapacity) {}
 
 OnlineController::~OnlineController() { stop(); }
 
@@ -43,56 +26,25 @@ std::size_t OnlineController::drain() {
     const std::size_t n = ring_.pop_batch(batch, std::size(batch));
     if (n == 0) break;
     for (std::size_t i = 0; i < n; ++i)
-      stats_.on_access(batch[i].node, batch[i].object, batch[i].op);
-    records_ += n;
-    since_decide_ += n;
+      observe(batch[i].node, batch[i].object, batch[i].op);
     total += n;
   }
+  records_ += total;
   return total;
 }
 
-void OnlineController::decide() {
-  ++passes_;
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t clients = memory_.options().num_clients;
-  for (const auto& hot : stats_.hot_set(options_.hot_k)) {
-    const ObjectId object = hot.object;
-    if (object >= current_.size()) continue;
-    if (cooldown_until_[object] > passes_) continue;
-    const auto& lifetime = stats_.object(object);
-    if (lifetime.reads + lifetime.writes < options_.min_observations)
-      continue;
-    const auto mix = stats_.node_mix(object);
-    std::uint64_t recent = 0;
-    for (std::size_t n = 0; n < mix.size() && n < clients; ++n)
-      recent += mix[n].reads + mix[n].writes;
-    if (recent == 0) continue;
-    const workload::WorkloadSpec spec =
-        AdaptiveSelector::spec_from_telemetry(stats_, object, clients);
-    const auto best = selector_.classify(spec);
-    const ProtocolKind incumbent = current_[object];
-    if (best.protocol == incumbent) continue;
-    const double incumbent_acc = selector_.solver().acc(incumbent, spec);
-    if (best.predicted_acc >=
-        (1.0 - options_.hysteresis) * incumbent_acc)
-      continue;
-    memory_.migrate(object, best.protocol);
-    current_[object] = best.protocol;
-    cooldown_until_[object] = passes_ + options_.cooldown_passes;
-    ++migrations_;
+void OnlineController::decide_due() {
+  while (pass_due()) {
+    decide_objects([this](ObjectId object, ProtocolKind to) {
+      memory_.migrate(object, to);
+    });
   }
-  reclassify_ms_ += std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
 }
 
 void OnlineController::run() {
   for (;;) {
     const std::size_t n = drain();
-    while (since_decide_ >= options_.decide_every) {
-      since_decide_ -= options_.decide_every;
-      decide();
-    }
+    decide_due();
     if (n != 0) continue;
     if (stop_.load(std::memory_order_acquire)) break;
     const std::uint32_t ticket = ring_.prepare_wait();
@@ -119,22 +71,19 @@ void OnlineController::stop() {
     thread_.join();
   }
   drain();  // anything recorded after the loop exited
-  if (options_.metrics == nullptr) return;
-  obs::MetricsRegistry& m = *options_.metrics;
+  if (metrics_ == nullptr) return;
+  obs::MetricsRegistry& m = *metrics_;
   m.counter("adaptive.records").inc(records_);
   m.counter("adaptive.dropped").inc(dropped());
-  m.counter("adaptive.passes").inc(passes_);
-  m.counter("adaptive.migrations").inc(migrations_);
-  m.gauge("adaptive.reclassify_ms").set(reclassify_ms_);
+  m.counter("adaptive.passes").inc(passes());
+  m.counter("adaptive.migrations").inc(migrations());
+  m.gauge("adaptive.reclassify_ms").set(reclassify_ms());
 }
 
 void OnlineController::poll() {
   DRSM_CHECK(!thread_.joinable(), "poll() races the controller thread");
   drain();
-  while (since_decide_ >= options_.decide_every) {
-    since_decide_ -= options_.decide_every;
-    decide();
-  }
+  decide_due();
 }
 
 }  // namespace drsm::adaptive

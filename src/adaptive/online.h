@@ -8,56 +8,36 @@
 // runs the loop *beside* the runtime:
 //
 //   client threads ──record()──▶ MpscRing ──▶ controller thread drains
-//   into its own obs::AccessStats ──▶ every decide_every records, prices
-//   the hot set with the warm-started analytic solver ──▶
-//   ConcurrentSharedMemory::migrate(object, winner)
+//   into the tuner's telemetry ──▶ every decide_every records, a
+//   per-object pass prices the hot set with the warm-started analytic
+//   solver ──▶ ConcurrentSharedMemory::migrate(object, winner)
 //
 // record() is one lock-free ring push (drops are counted, not blocked on:
 // telemetry is sampling, losing a record under burst cannot corrupt
-// anything).  Decisions follow the same discipline as the inline loop —
-// per-object hysteresis band over the incumbent's re-priced acc — plus a
-// per-object cooldown in decision passes, since a live migration has a
-// real cost (drain + seed) that re-pricing does not see.
-//
-// The controller tracks each object's protocol itself: it is the only
-// migration issuer, and the shard applies migrations in ring order, so
-// its view converges without reading shard-owned state (no cross-thread
-// peeking at the runtimes).  Use start()/stop() for the background
-// thread, or poll() to run drain+decide synchronously in deterministic
-// tests.
+// anything).  Decisions are the inline loop's own: both derive from
+// SelfTuner (selector.h), with its hysteresis gate and per-object
+// cooldown.  The shard applies migrations in ring order, so the tuner's
+// view of each object's protocol converges without reading shard-owned
+// state.  Use start()/stop() for the background thread, or poll() to run
+// drain+decide synchronously in deterministic tests.  Stop the controller
+// before the memory: migrate() throws after memory.stop().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "adaptive/selector.h"
 #include "dsm/concurrent.h"
-#include "obs/access_stats.h"
 #include "obs/metrics.h"
 #include "sim/mpsc_ring.h"
 
 namespace drsm::adaptive {
 
-class OnlineController {
+class OnlineController : public SelfTuner {
  public:
   struct Options {
-    /// Records drained between decision passes.
-    std::size_t decide_every = 1024;
-    /// Hot objects (by EWMA rate) priced per pass.
-    std::size_t hot_k = 8;
-    /// Lifetime accesses an object needs before it is ever priced.
-    std::size_t min_observations = 64;
-    /// Relative acc improvement a challenger needs over the incumbent.
-    double hysteresis = 0.05;
-    /// Decision passes an object sits out after migrating.
-    std::size_t cooldown_passes = 4;
-    /// Recent-mix span in records (telemetry window is half: last closed
-    /// plus current window).
-    std::size_t window = 1024;
-    std::size_t ring_capacity = 8192;
-    std::vector<protocols::ProtocolKind> candidates;  // empty = all eight
+    Policy policy;
     /// Post-stop metrics publication target (adaptive.* names).
     obs::MetricsRegistry* metrics = nullptr;
   };
@@ -81,8 +61,10 @@ class OnlineController {
 
   /// Background mode: a dedicated thread drains and decides until stop().
   void start();
-  /// Drains the ring, runs any due decision passes, publishes metrics.
-  /// Idempotent; the destructor calls it.
+  /// Stops the background thread, which first runs the passes due on
+  /// what it drained; then drains records that arrived after it exited
+  /// without deciding on them (the memory may be stopped by then) and
+  /// publishes metrics.  Idempotent; the destructor calls it.
   void stop();
 
   /// Synchronous mode for deterministic tests: drains everything
@@ -90,20 +72,13 @@ class OnlineController {
   /// records drained.  Must not race start()/stop().
   void poll();
 
-  /// The controller's view of an object's protocol (exact once the shard
-  /// has applied every issued migration, e.g. after memory.stop()).
-  protocols::ProtocolKind object_protocol(ObjectId object) const {
-    return current_[object];
-  }
-
-  const obs::AccessStats& telemetry() const { return stats_; }
+  // object_protocol() is exact once the shard has applied every issued
+  // migration, e.g. after memory.stop().
   std::uint64_t records() const { return records_; }
   std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
-  std::uint64_t passes() const { return passes_; }
-  std::uint64_t migrations() const { return migrations_; }
-  double reclassify_ms() const { return reclassify_ms_; }
+  std::uint64_t migrations() const { return switches(); }
 
  private:
   struct Record {
@@ -112,22 +87,16 @@ class OnlineController {
     fsm::OpKind op = fsm::OpKind::kRead;
   };
 
+  static constexpr std::size_t kRingCapacity = 8192;
+
   std::size_t drain();
-  void decide();
+  void decide_due();
   void run();
 
   dsm::ConcurrentSharedMemory& memory_;
-  Options options_;
-  AdaptiveSelector selector_;
+  obs::MetricsRegistry* metrics_;
   sim::MpscRing<Record> ring_;
-  obs::AccessStats stats_;
-  std::vector<protocols::ProtocolKind> current_;   // controller's view
-  std::vector<std::uint64_t> cooldown_until_;      // pass index, per object
   std::uint64_t records_ = 0;
-  std::uint64_t since_decide_ = 0;
-  std::uint64_t passes_ = 0;
-  std::uint64_t migrations_ = 0;
-  double reclassify_ms_ = 0.0;
   std::atomic<std::uint64_t> dropped_{0};
   std::thread thread_;
   std::atomic<bool> stop_{false};

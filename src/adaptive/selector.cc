@@ -1,8 +1,7 @@
 #include "adaptive/selector.h"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
+#include <optional>
 
 #include "support/error.h"
 
@@ -11,43 +10,36 @@ namespace drsm::adaptive {
 using fsm::OpKind;
 using protocols::ProtocolKind;
 
-WorkloadEstimator::WorkloadEstimator(std::size_t num_clients,
-                                     std::size_t window)
-    : num_clients_(num_clients), window_(window), counts_(num_clients) {
-  DRSM_CHECK(window_ >= 1, "estimator window must be positive");
-  DRSM_CHECK(num_clients_ >= 1, "need at least one client");
-}
+namespace {
 
-void WorkloadEstimator::observe(NodeId node, OpKind op) {
-  DRSM_CHECK(node < num_clients_, "estimator observes client operations");
-  DRSM_CHECK(op == OpKind::kRead || op == OpKind::kWrite,
-             "estimator tracks reads and writes");
-  window_contents_.emplace_back(node, op);
-  ++counts_[node][op == OpKind::kWrite ? 1 : 0];
-  if (window_contents_.size() > window_) {
-    auto [old_node, old_op] = window_contents_.front();
-    window_contents_.pop_front();
-    --counts_[old_node][old_op == OpKind::kWrite ? 1 : 0];
-  }
-}
-
-workload::WorkloadSpec WorkloadEstimator::empirical_spec() const {
-  DRSM_CHECK(!window_contents_.empty(), "no observations yet");
-  const double total = static_cast<double>(window_contents_.size());
+// A recent per-node mix as an empirical spec over the client rows;
+// nullopt when those rows hold no accesses (nothing to classify from).
+std::optional<workload::WorkloadSpec> recent_spec(
+    const std::vector<obs::AccessStats::NodeMix>& mix,
+    std::size_t num_clients) {
+  const std::size_t nodes = std::min(mix.size(), num_clients);
+  double total = 0.0;
+  for (std::size_t node = 0; node < nodes; ++node)
+    total += static_cast<double>(mix[node].reads + mix[node].writes);
+  if (total == 0.0) return std::nullopt;
   workload::WorkloadSpec spec;
-  spec.name = "empirical";
-  for (NodeId node = 0; node < num_clients_; ++node) {
-    const double reads = static_cast<double>(counts_[node][0]);
-    const double writes = static_cast<double>(counts_[node][1]);
+  spec.name = "telemetry";
+  for (std::size_t node = 0; node < nodes; ++node) {
+    const double reads = static_cast<double>(mix[node].reads);
+    const double writes = static_cast<double>(mix[node].writes);
     if (reads == 0.0 && writes == 0.0) continue;
     // Keep both event kinds for any active node so the cached chain
-    // structure stays stable while the mix drifts within an epoch.
-    spec.events.push_back({node, OpKind::kRead, reads / total});
-    spec.events.push_back({node, OpKind::kWrite, writes / total});
+    // structure stays stable while the mix drifts between passes.
+    spec.events.push_back(
+        {static_cast<NodeId>(node), OpKind::kRead, reads / total});
+    spec.events.push_back(
+        {static_cast<NodeId>(node), OpKind::kWrite, writes / total});
   }
   spec.validate();
   return spec;
 }
+
+}  // namespace
 
 AdaptiveSelector::AdaptiveSelector(
     const sim::SystemConfig& config,
@@ -74,24 +66,11 @@ AdaptiveSelector::Classification AdaptiveSelector::classify(
 workload::WorkloadSpec AdaptiveSelector::spec_from_telemetry(
     const obs::AccessStats& stats, ObjectId object,
     std::size_t num_clients) {
-  const std::vector<obs::AccessStats::NodeMix> mix = stats.node_mix(object);
-  double total = 0.0;
-  const std::size_t nodes = std::min(mix.size(), num_clients);
-  for (std::size_t node = 0; node < nodes; ++node)
-    total += static_cast<double>(mix[node].reads + mix[node].writes);
-  DRSM_CHECK(total > 0.0,
+  std::optional<workload::WorkloadSpec> spec =
+      recent_spec(stats.node_mix(object), num_clients);
+  DRSM_CHECK(spec.has_value(),
              "spec_from_telemetry: no recent client accesses to the object");
-  workload::WorkloadSpec spec;
-  spec.name = "telemetry";
-  for (NodeId node = 0; node < nodes; ++node) {
-    const double reads = static_cast<double>(mix[node].reads);
-    const double writes = static_cast<double>(mix[node].writes);
-    if (reads == 0.0 && writes == 0.0) continue;
-    spec.events.push_back({node, OpKind::kRead, reads / total});
-    spec.events.push_back({node, OpKind::kWrite, writes / total});
-  }
-  spec.validate();
-  return spec;
+  return *std::move(spec);
 }
 
 AdaptiveSelector::Classification AdaptiveSelector::classify_object(
@@ -99,132 +78,122 @@ AdaptiveSelector::Classification AdaptiveSelector::classify_object(
   return classify(spec_from_telemetry(stats, object, num_clients_));
 }
 
-namespace {
-
-// Telemetry windows are half the requested recent-mix span: node_mix sums
-// the last closed window plus the current partial one.
-obs::AccessStatsOptions telemetry_options(std::size_t window) {
-  obs::AccessStatsOptions options;
-  options.window_ops = std::max<std::size_t>(1, window / 2);
-  return options;
+SelfTuner::SelfTuner(const Policy& policy, std::size_t num_clients,
+                     std::size_t num_objects, const fsm::CostModel& costs,
+                     ProtocolKind initial)
+    : policy_(policy),
+      num_clients_(num_clients),
+      selector_(sim::SystemConfig{num_clients, costs, 1}, policy.candidates),
+      // Windows are half the recent-mix span: node_mix sums the last
+      // closed window plus the current partial one.
+      stats_(obs::AccessStatsOptions{
+          std::max<std::size_t>(1, policy.window / 2)}),
+      current_(num_objects, initial),
+      cooldown_until_(num_objects, 0) {
+  DRSM_CHECK(policy_.decide_every >= 1, "decide_every must be positive");
 }
 
-}  // namespace
+bool SelfTuner::pass_due() {
+  if (pending_ < policy_.decide_every) return false;
+  pending_ -= policy_.decide_every;
+  return true;
+}
+
+ProtocolKind SelfTuner::gate(ProtocolKind incumbent,
+                             const workload::WorkloadSpec& spec) {
+  const auto best = selector_.classify(spec);
+  if (best.protocol == incumbent) return incumbent;
+  const double incumbent_acc = selector_.solver().acc(incumbent, spec);
+  return best.predicted_acc < (1.0 - policy_.hysteresis) * incumbent_acc
+             ? best.protocol
+             : incumbent;
+}
+
+void SelfTuner::end_pass(std::chrono::steady_clock::time_point start) {
+  reclassify_ms_ += std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+}
+
+void SelfTuner::decide_objects(
+    const std::function<void(ObjectId, ProtocolKind)>& switch_object) {
+  const auto start = std::chrono::steady_clock::now();
+  ++passes_;
+  for (const auto& hot : stats_.hot_set(kHotK)) {
+    const ObjectId object = hot.object;
+    if (object >= current_.size() || cooldown_until_[object] > passes_)
+      continue;
+    const auto& lifetime = stats_.object(object);
+    if (lifetime.reads + lifetime.writes < policy_.min_observations)
+      continue;
+    const auto spec = recent_spec(stats_.node_mix(object), num_clients_);
+    if (!spec) continue;
+    const ProtocolKind next = gate(current_[object], *spec);
+    if (next == current_[object]) continue;
+    switch_object(object, next);
+    current_[object] = next;
+    cooldown_until_[object] = passes_ + kCooldownPasses;
+    ++switches_;
+  }
+  end_pass(start);
+}
+
+void SelfTuner::decide_global(
+    const std::function<void(ProtocolKind)>& switch_all) {
+  const auto start = std::chrono::steady_clock::now();
+  ++passes_;
+  if (stats_.accesses() >= policy_.min_observations) {
+    // The memory-wide recent mix: every object's window, client rows only.
+    std::vector<obs::AccessStats::NodeMix> mix(num_clients_);
+    for (ObjectId object = 0; object < stats_.num_objects(); ++object) {
+      const auto object_mix = stats_.node_mix(object);
+      for (std::size_t n = 0; n < object_mix.size() && n < num_clients_;
+           ++n) {
+        mix[n].reads += object_mix[n].reads;
+        mix[n].writes += object_mix[n].writes;
+      }
+    }
+    const auto spec = recent_spec(mix, num_clients_);
+    const ProtocolKind incumbent = current_.front();
+    const ProtocolKind next = spec ? gate(incumbent, *spec) : incumbent;
+    if (next != incumbent) {
+      switch_all(next);
+      std::fill(current_.begin(), current_.end(), next);
+      ++switches_;
+    }
+  }
+  end_pass(start);
+}
 
 AdaptiveSharedMemory::AdaptiveSharedMemory(const Options& options)
-    : options_(options),
-      memory_(options.memory),
-      telemetry_(telemetry_options(options.window)),
-      selector_(
-          sim::SystemConfig{options.memory.num_clients, options.memory.costs,
-                            1},
-          options.candidates) {}
+    : SelfTuner(options.policy, options.memory.num_clients,
+                options.memory.num_objects, options.memory.costs,
+                options.memory.protocol),
+      per_object_(options.per_object),
+      memory_(options.memory) {}
 
 std::uint64_t AdaptiveSharedMemory::read(NodeId node, ObjectId object) {
   const std::uint64_t value = memory_.read(node, object);
-  observe(node, object, OpKind::kRead);
+  tune(node, object, OpKind::kRead);
   return value;
 }
 
 void AdaptiveSharedMemory::write(NodeId node, ObjectId object,
                                  std::uint64_t value) {
   memory_.write(node, object, value);
-  observe(node, object, OpKind::kWrite);
+  tune(node, object, OpKind::kWrite);
 }
 
-void AdaptiveSharedMemory::observe(NodeId node, ObjectId object,
-                                   OpKind op) {
-  telemetry_.on_access(node, object, op);
-  if (node >= options_.memory.num_clients) return;
-  maybe_reclassify();
-}
-
-namespace {
-
-// A recent per-node mix as an empirical spec; false when the window holds
-// no client accesses (nothing to classify from).
-bool spec_from_mix(const std::vector<obs::AccessStats::NodeMix>& mix,
-                   workload::WorkloadSpec& out) {
-  double total = 0.0;
-  for (const auto& m : mix)
-    total += static_cast<double>(m.reads + m.writes);
-  if (total == 0.0) return false;
-  out.name = "telemetry";
-  out.events.clear();
-  for (std::size_t node = 0; node < mix.size(); ++node) {
-    const double reads = static_cast<double>(mix[node].reads);
-    const double writes = static_cast<double>(mix[node].writes);
-    if (reads == 0.0 && writes == 0.0) continue;
-    out.events.push_back(
-        {static_cast<NodeId>(node), OpKind::kRead, reads / total});
-    out.events.push_back(
-        {static_cast<NodeId>(node), OpKind::kWrite, writes / total});
-  }
-  out.validate();
-  return true;
-}
-
-}  // namespace
-
-ProtocolKind AdaptiveSharedMemory::pick(ProtocolKind current,
-                                        const workload::WorkloadSpec& spec) {
-  const auto best = selector_.classify(spec);
-  if (best.protocol == current) return current;
-  // The incumbent is priced on the same spec; a challenger must clear the
-  // hysteresis band, so near-breakeven epochs keep the incumbent.
-  const double current_acc = selector_.solver().acc(current, spec);
-  return best.predicted_acc < (1.0 - options_.hysteresis) * current_acc
-             ? best.protocol
-             : current;
-}
-
-void AdaptiveSharedMemory::maybe_reclassify() {
-  if (++ops_in_epoch_ < options_.epoch_ops) return;
-  ops_in_epoch_ = 0;
-  ++epochs_;
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t clients = options_.memory.num_clients;
-  if (!options_.per_object) {
-    if (telemetry_.accesses() < options_.min_observations) return;
-    // The memory-wide recent mix: every object's window, client rows only.
-    std::vector<obs::AccessStats::NodeMix> mix(clients);
-    for (std::size_t j = 0; j < telemetry_.num_objects(); ++j) {
-      const auto object_mix =
-          telemetry_.node_mix(static_cast<ObjectId>(j));
-      for (std::size_t n = 0; n < object_mix.size() && n < clients; ++n) {
-        mix[n].reads += object_mix[n].reads;
-        mix[n].writes += object_mix[n].writes;
-      }
-    }
-    workload::WorkloadSpec spec;
-    if (spec_from_mix(mix, spec)) {
-      const ProtocolKind next = pick(memory_.protocol(), spec);
-      if (next != memory_.protocol()) {
-        memory_.switch_protocol(next);
-        ++switches_;
-      }
-    }
+void AdaptiveSharedMemory::tune(NodeId node, ObjectId object, OpKind op) {
+  observe(node, object, op);
+  if (!pass_due()) return;
+  if (per_object_) {
+    decide_objects([this](ObjectId j, ProtocolKind to) {
+      memory_.switch_protocol(j, to);
+    });
   } else {
-    const std::size_t objects =
-        std::min(telemetry_.num_objects(), options_.memory.num_objects);
-    for (std::size_t j = 0; j < objects; ++j) {
-      const ObjectId object = static_cast<ObjectId>(j);
-      const auto& stats = telemetry_.object(object);
-      if (stats.reads + stats.writes < options_.min_observations) continue;
-      auto mix = telemetry_.node_mix(object);
-      if (mix.size() > clients) mix.resize(clients);
-      workload::WorkloadSpec spec;
-      if (!spec_from_mix(mix, spec)) continue;
-      const ProtocolKind next = pick(memory_.object_protocol(object), spec);
-      if (next != memory_.object_protocol(object)) {
-        memory_.switch_protocol(object, next);
-        ++switches_;
-      }
-    }
+    decide_global([this](ProtocolKind to) { memory_.switch_protocol(to); });
   }
-  reclassify_ms_ += std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
 }
 
 }  // namespace drsm::adaptive

@@ -3,16 +3,18 @@
 // development of adaptive data replication coherence protocols with
 // self-tuning capability based on run-time information".
 //
-// WorkloadEstimator turns a window of observed operations into an empirical
-// sample space (the paper notes the five parameters "may be obtained by
+// AdaptiveSelector classifies an empirical sample space with the analytic
+// model (the paper notes the five parameters "may be obtained by
 // estimating the relative frequencies of events in some real distributed
-// computation"); AdaptiveSelector classifies it with the analytic model;
-// AdaptiveSharedMemory closes the loop by switching a live SharedMemory to
-// the predicted-cheapest protocol at epoch boundaries.
+// computation").  SelfTuner is the one decision policy built on it: live
+// obs::AccessStats telemetry turned into per-object sample spaces, a
+// hysteresis gate and a per-object pass.  Two loops derive from it:
+// AdaptiveSharedMemory inline on a SharedMemory, and OnlineController
+// (online.h) beside a dsm::ConcurrentSharedMemory.
 #pragma once
 
-#include <array>
-#include <deque>
+#include <chrono>
+#include <functional>
 #include <vector>
 
 #include "analytic/solver.h"
@@ -21,28 +23,6 @@
 #include "workload/spec.h"
 
 namespace drsm::adaptive {
-
-/// Sliding-window estimator of the per-operation sample space.
-class WorkloadEstimator {
- public:
-  explicit WorkloadEstimator(std::size_t num_clients,
-                             std::size_t window = 512);
-
-  void observe(NodeId node, fsm::OpKind op);
-
-  std::size_t observations() const { return window_contents_.size(); }
-
-  /// Empirical sample space over the client nodes seen in the window.
-  /// Requires at least one observation.
-  workload::WorkloadSpec empirical_spec() const;
-
- private:
-  std::size_t num_clients_;
-  std::size_t window_;
-  std::deque<std::pair<NodeId, fsm::OpKind>> window_contents_;
-  // counts[node][0] = reads, counts[node][1] = writes, within the window
-  std::vector<std::array<std::size_t, 2>> counts_;
-};
 
 /// Classifier: picks the acc-minimizing protocol for a workload.
 class AdaptiveSelector {
@@ -79,31 +59,108 @@ class AdaptiveSelector {
   std::size_t num_clients_;
 };
 
-/// A SharedMemory that re-selects its protocol every `epoch_ops`
-/// operations — either one protocol for the whole memory, or (per_object
-/// mode) one per shared object, since the paper's analysis treats objects
-/// independently.  Decisions are driven by the live obs::AccessStats
-/// telemetry (the windowed per-node mix each object is *currently*
-/// experiencing), not by a separate estimator: the same sensor that
-/// reports hot sets and activity-center drift feeds the classifier.  A
-/// hysteresis band keeps the selection stable: the incumbent protocol is
-/// re-priced on every epoch's spec, and a challenger wins only by beating
-/// it by the configured margin — near-breakeven workloads do not flap.
-class AdaptiveSharedMemory {
+/// The settable values of the decision policy both adaptive loops run.
+struct Policy {
+  /// Client operations between decision passes.
+  std::size_t decide_every = 512;
+  /// Lifetime accesses an object (in global mode: the whole memory) needs
+  /// before it is ever priced.
+  std::size_t min_observations = 64;
+  /// Recent-mix span, in accesses: the telemetry window is sized so that
+  /// "last closed + current window" covers about this many.
+  std::size_t window = 1024;
+  /// Relative acc improvement a challenger must show over the incumbent
+  /// before a switch happens (0 still demands a strict improvement).
+  double hysteresis = 0.05;
+  std::vector<protocols::ProtocolKind> candidates;  // empty = all eight
+};
+
+/// The decision policy both adaptive loops derive from: telemetry in,
+/// protocol switches out.  A loop feeds every completed operation to
+/// observe(), runs a pass whenever pass_due() says so, and applies the
+/// switches the pass hands to its callback.  Each pass re-prices the
+/// incumbent on the same spec as the challengers, and a challenger wins
+/// only by beating it by the hysteresis margin, so near-breakeven
+/// workloads do not flap.  The tuner tracks each object's protocol
+/// itself: it is the only issuer of switches, so its view is the
+/// memory's once they are applied.
+class SelfTuner {
+ public:
+  /// Hot objects (by EWMA rate) a per-object pass prices.
+  static constexpr std::size_t kHotK = 8;
+  /// Passes an object sits out after a switch: a live migration has a
+  /// real cost (drain + seed) that re-pricing does not see.
+  static constexpr std::uint64_t kCooldownPasses = 4;
+
+  /// The tuner's view of an object's protocol.
+  protocols::ProtocolKind object_protocol(ObjectId object) const {
+    return current_[object];
+  }
+  /// Live access telemetry over every operation observed: hot set,
+  /// activity centers, drift log (see obs/access_stats.h).
+  const obs::AccessStats& telemetry() const { return stats_; }
+  std::uint64_t passes() const { return passes_; }
+  std::uint64_t switches() const { return switches_; }
+  /// Wall time spent inside decision passes (the price of self-tuning;
+  /// benches report it as adaptive.reclassify_ms).
+  double reclassify_ms() const { return reclassify_ms_; }
+
+ protected:
+  SelfTuner(const Policy& policy, std::size_t num_clients,
+            std::size_t num_objects, const fsm::CostModel& costs,
+            protocols::ProtocolKind initial);
+  ~SelfTuner() = default;
+
+  /// One completed operation; client operations count toward the next
+  /// pass.
+  void observe(NodeId node, ObjectId object, fsm::OpKind op) {
+    stats_.on_access(node, object, op);
+    if (node < num_clients_) ++pending_;
+  }
+  /// True, once per decide_every client operations observed.
+  bool pass_due();
+
+  /// Per-object pass: each hot object past the observation floor and out
+  /// of cooldown is priced on its recent mix; `switch_object` applies the
+  /// winners.
+  void decide_objects(
+      const std::function<void(ObjectId, protocols::ProtocolKind)>&
+          switch_object);
+  /// Global pass: the memory-wide recent mix through the same gate;
+  /// `switch_all` applies a winner to every object.
+  void decide_global(
+      const std::function<void(protocols::ProtocolKind)>& switch_all);
+
+ private:
+  /// The hysteresis gate: best candidate for `spec`, unless the incumbent
+  /// is within the band — then the incumbent stays.
+  protocols::ProtocolKind gate(protocols::ProtocolKind incumbent,
+                               const workload::WorkloadSpec& spec);
+  void end_pass(std::chrono::steady_clock::time_point start);
+
+  Policy policy_;
+  std::size_t num_clients_;
+  AdaptiveSelector selector_;
+  obs::AccessStats stats_;
+  std::vector<protocols::ProtocolKind> current_;
+  std::vector<std::uint64_t> cooldown_until_;  // pass index, per object
+  std::uint64_t pending_ = 0;
+  std::uint64_t passes_ = 0;
+  std::uint64_t switches_ = 0;
+  double reclassify_ms_ = 0.0;
+};
+
+/// A SharedMemory that runs the decision policy inline: every
+/// decide_every client operations it re-selects either one protocol for
+/// the whole memory, or (per_object mode) one per shared object, since
+/// the paper's analysis treats objects independently.
+class AdaptiveSharedMemory : public SelfTuner {
  public:
   struct Options {
     dsm::SharedMemory::Options memory;
-    std::size_t epoch_ops = 512;       // re-classify this often
-    std::size_t min_observations = 64; // do not switch before this many ops
-    /// Recent-mix span, in accesses: the telemetry window is sized so
-    /// that "last closed + current window" covers about this many.
-    std::size_t window = 1024;
-    std::vector<protocols::ProtocolKind> candidates;  // empty = all eight
-    /// Estimate and select per object instead of globally.
+    Policy policy;
+    /// Select per object instead of globally.
     bool per_object = false;
-    /// Relative acc improvement a challenger must show over the incumbent
-    /// before a switch happens (0 still demands a strict improvement).
-    double hysteresis = 0.05;
   };
 
   explicit AdaptiveSharedMemory(const Options& options);
@@ -111,40 +168,19 @@ class AdaptiveSharedMemory {
   std::uint64_t read(NodeId node, ObjectId object);
   void write(NodeId node, ObjectId object, std::uint64_t value);
 
+  /// The memory underneath; switch protocols only through the tuner.
   dsm::SharedMemory& memory() { return memory_; }
-
-  /// Live access telemetry over everything this memory has served:
-  /// hot set, activity centers, drift log (see obs/access_stats.h).
-  const obs::AccessStats& telemetry() const { return telemetry_; }
 
   protocols::ProtocolKind current_protocol() const {
     return memory_.protocol();
   }
-  protocols::ProtocolKind object_protocol(ObjectId object) const {
-    return memory_.object_protocol(object);
-  }
-  std::size_t switches() const { return switches_; }
-  std::size_t epochs() const { return epochs_; }
-  /// Wall time spent inside epoch-boundary reclassification (the price of
-  /// self-tuning; benches report it as adaptive.reclassify_ms).
-  double reclassify_ms() const { return reclassify_ms_; }
+  std::size_t epochs() const { return passes(); }
 
  private:
-  void observe(NodeId node, ObjectId object, fsm::OpKind op);
-  void maybe_reclassify();
-  /// The hysteresis gate: best candidate for `spec`, unless the incumbent
-  /// is within the band — then the incumbent stays.
-  protocols::ProtocolKind pick(protocols::ProtocolKind current,
-                               const workload::WorkloadSpec& spec);
+  void tune(NodeId node, ObjectId object, fsm::OpKind op);
 
-  Options options_;
+  bool per_object_;
   dsm::SharedMemory memory_;
-  obs::AccessStats telemetry_;
-  AdaptiveSelector selector_;
-  std::size_t ops_in_epoch_ = 0;
-  std::size_t switches_ = 0;
-  std::size_t epochs_ = 0;
-  double reclassify_ms_ = 0.0;
 };
 
 }  // namespace drsm::adaptive

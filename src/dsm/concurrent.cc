@@ -223,6 +223,7 @@ ConcurrentSharedMemory::Session& ConcurrentSharedMemory::session(
 void ConcurrentSharedMemory::migrate(ObjectId object,
                                      protocols::ProtocolKind to) {
   DRSM_CHECK(object < options_.num_objects, "object id out of range");
+  DRSM_CHECK(!stopped_, "migrate() after stop(): no shard would run it");
   sim::ShardRequest request;
   request.kind = sim::ShardRequest::Kind::kMigrate;
   request.object = object;

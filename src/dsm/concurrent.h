@@ -179,7 +179,8 @@ class ConcurrentSharedMemory {
   /// (sim::SequentialRuntime::migrate re-seeds the latest write), so an
   /// attached coherence oracle referees straight through the migration.
   /// Spins (yielding) while the ring is full; holds no grants, so the
-  /// shard can always drain toward it.
+  /// shard can always drain toward it.  Throws drsm::Error after stop(),
+  /// when no shard thread is left to run it; must not race stop().
   void migrate(ObjectId object, protocols::ProtocolKind to);
 
   /// The protocol `object` currently runs.  Only stable after stop() or

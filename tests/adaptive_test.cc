@@ -1,5 +1,5 @@
-// Tests for the self-tuning extension: parameter estimation, the analytic
-// classifier, and the protocol-switching shared memory.
+// Tests for the self-tuning extension: the analytic classifier and the
+// protocol-switching shared memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@ namespace {
 
 using adaptive::AdaptiveSelector;
 using adaptive::AdaptiveSharedMemory;
-using adaptive::WorkloadEstimator;
 using fsm::OpKind;
 using protocols::ProtocolKind;
 
@@ -23,32 +22,6 @@ sim::SystemConfig make_config(std::size_t n, double s, double p) {
   config.costs.s = s;
   config.costs.p = p;
   return config;
-}
-
-TEST(WorkloadEstimator, WindowedFrequencies) {
-  WorkloadEstimator estimator(2, /*window=*/4);
-  estimator.observe(0, OpKind::kWrite);
-  estimator.observe(0, OpKind::kWrite);
-  estimator.observe(1, OpKind::kRead);
-  estimator.observe(0, OpKind::kRead);
-  auto spec = estimator.empirical_spec();
-  // Node 0: 1 read + 2 writes; node 1: 1 read.
-  double node0_write = 0.0, node1_read = 0.0;
-  for (const auto& e : spec.events) {
-    if (e.node == 0 && e.op == OpKind::kWrite) node0_write = e.probability;
-    if (e.node == 1 && e.op == OpKind::kRead) node1_read = e.probability;
-  }
-  EXPECT_DOUBLE_EQ(node0_write, 0.5);
-  EXPECT_DOUBLE_EQ(node1_read, 0.25);
-
-  // Rolling: a fifth observation evicts the first.
-  estimator.observe(1, OpKind::kRead);
-  spec = estimator.empirical_spec();
-  for (const auto& e : spec.events) {
-    if (e.node == 0 && e.op == OpKind::kWrite) {
-      EXPECT_DOUBLE_EQ(e.probability, 0.25);
-    }
-  }
 }
 
 TEST(AdaptiveSelector, PicksUpdateProtocolForReadSharedWorkload) {
@@ -116,8 +89,9 @@ TEST(AdaptiveSharedMemory, DoesNotSwitchBeforeMinObservations) {
   options.memory.num_objects = 1;
   options.memory.costs.s = 10000.0;  // strongly favors switching away
   options.memory.costs.p = 1.0;
-  options.epoch_ops = 64;            // epochs come and go...
-  options.min_observations = 100000; // ...but the floor is never reached
+  options.policy.decide_every = 64;          // epochs come and go...
+  options.policy.min_observations = 100000;  // ...but the floor is never
+                                             // reached
   AdaptiveSharedMemory memory(options);
   workload::GlobalSequenceGenerator gen(
       workload::read_disturbance(0.05, 0.3, 2), 3);
@@ -148,11 +122,12 @@ TEST(AdaptiveSharedMemory, SwitchesWhenThePhaseChanges) {
   options.memory.num_objects = 2;
   options.memory.costs.s = 10000.0;
   options.memory.costs.p = 1.0;
-  options.epoch_ops = 256;
-  options.window = 512;
+  options.policy.decide_every = 256;
+  options.policy.window = 512;
   // Restrict to one update and one invalidate/ownership protocol so the
   // expected decisions are unambiguous.
-  options.candidates = {ProtocolKind::kDragon, ProtocolKind::kBerkeley};
+  options.policy.candidates = {ProtocolKind::kDragon,
+                               ProtocolKind::kBerkeley};
   AdaptiveSharedMemory memory(options);
 
   Rng rng(5);
@@ -194,9 +169,9 @@ TEST(AdaptiveSharedMemory, PerObjectModeSpecializesEachObject) {
   options.memory.num_objects = 2;
   options.memory.costs.s = 8000.0;
   options.memory.costs.p = 2.0;
-  options.epoch_ops = 256;
-  options.window = 512;
-  options.min_observations = 64;
+  options.policy.decide_every = 256;
+  options.policy.window = 512;
+  options.policy.min_observations = 64;
   options.per_object = true;
   AdaptiveSharedMemory memory(options);
 
@@ -241,10 +216,11 @@ TEST(AdaptiveSharedMemory, HysteresisHoldsIncumbentOnStationaryWorkload) {
   options.memory.num_objects = 1;
   options.memory.costs.s = 10000.0;
   options.memory.costs.p = 1.0;
-  options.epoch_ops = 128;
-  options.window = 256;
-  options.hysteresis = 0.05;
-  options.candidates = {ProtocolKind::kDragon, ProtocolKind::kFirefly};
+  options.policy.decide_every = 128;
+  options.policy.window = 256;
+  options.policy.hysteresis = 0.05;
+  options.policy.candidates = {ProtocolKind::kDragon,
+                               ProtocolKind::kFirefly};
   AdaptiveSharedMemory memory(options);
 
   workload::GlobalSequenceGenerator gen(
@@ -272,8 +248,8 @@ TEST(AdaptiveSharedMemory, FullHysteresisPinsTheInitialProtocol) {
   options.memory.num_objects = 1;
   options.memory.costs.s = 10000.0;
   options.memory.costs.p = 1.0;
-  options.epoch_ops = 64;
-  options.hysteresis = 1.0;
+  options.policy.decide_every = 64;
+  options.policy.hysteresis = 1.0;
   AdaptiveSharedMemory memory(options);
 
   workload::GlobalSequenceGenerator gen(
@@ -296,9 +272,9 @@ TEST(AdaptiveSharedMemory, ValuesSurviveSwitches) {
   options.memory.protocol = ProtocolKind::kWriteThrough;
   options.memory.num_clients = 2;
   options.memory.num_objects = 1;
-  options.epoch_ops = 64;
-  options.candidates = {ProtocolKind::kWriteThrough,
-                        ProtocolKind::kBerkeley};
+  options.policy.decide_every = 64;
+  options.policy.candidates = {ProtocolKind::kWriteThrough,
+                               ProtocolKind::kBerkeley};
   AdaptiveSharedMemory memory(options);
   std::uint64_t latest = 0;
   Rng rng(17);

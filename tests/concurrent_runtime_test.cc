@@ -504,6 +504,24 @@ TEST(ConcurrentRuntimeTest, StopSubmitsStagedRequests) {
     EXPECT_EQ(mem.object_version(o), writes[o]) << "object " << o;
 }
 
+// After stop() no shard thread drains the request rings, so a migration
+// could never run: migrate() throws instead of dropping the request (or,
+// on a full ring, spinning forever).
+TEST(ConcurrentRuntimeTest, MigrateAfterStopThrows) {
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = 1;
+  options.num_objects = 2;
+  options.num_shards = 1;
+  ConcurrentSharedMemory mem(options);
+  mem.session(0).write(0, 1);
+  mem.session(0).drain();
+  mem.stop();
+  EXPECT_THROW(mem.migrate(0, ProtocolKind::kBerkeley), Error);
+  EXPECT_EQ(mem.stats().migrations, 0u);
+  EXPECT_EQ(mem.object_protocol(0), ProtocolKind::kWriteThrough);
+}
+
 TEST(ConcurrentRuntimeTest, RejectsUnsupportedOps) {
   ConcurrentSharedMemory::Options options;
   options.protocol = ProtocolKind::kDragon;  // update protocol: no eject

@@ -7,7 +7,9 @@
 //    handlers, decision passes pricing the hot set with the analytic
 //    solver, migrations issued into the running DSM — deterministically
 //    via poll(), and with the background thread under load (the TSan
-//    stage runs this binary: ctest -L concurrency).
+//    stage runs this binary: ctest -L concurrency);
+//  * the two adaptive loops — AdaptiveSharedMemory inline and
+//    OnlineController beside the runtime — deciding alike on one stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "dsm/concurrent.h"
 #include "protocols/protocol.h"
 #include "support/rng.h"
+#include "workload/generator.h"
 
 namespace drsm {
 namespace {
@@ -167,13 +170,12 @@ TEST(OnlineController, PhaseChangeDrivesVerifiedMigrations) {
   ConcurrentSharedMemory memory(options);
 
   adaptive::OnlineController::Options copts;
-  copts.decide_every = 128;
-  copts.hot_k = 4;
-  copts.min_observations = 64;
-  copts.hysteresis = 0.05;
-  copts.cooldown_passes = 1;
-  copts.window = 256;
-  copts.candidates = {ProtocolKind::kBerkeley, ProtocolKind::kDragon};
+  copts.policy.decide_every = 128;
+  copts.policy.min_observations = 64;
+  copts.policy.hysteresis = 0.05;
+  copts.policy.window = 256;
+  copts.policy.candidates = {ProtocolKind::kBerkeley,
+                             ProtocolKind::kDragon};
   adaptive::OnlineController controller(memory, copts);
   wire(memory, 0, controller);
   wire(memory, 1, controller);
@@ -248,8 +250,8 @@ TEST(OnlineController, BackgroundThreadUnderConcurrentLoad) {
   ConcurrentSharedMemory memory(options);
 
   adaptive::OnlineController::Options copts;
-  copts.decide_every = 512;
-  copts.min_observations = 128;
+  copts.policy.decide_every = 512;
+  copts.policy.min_observations = 128;
   adaptive::OnlineController controller(memory, copts);
   for (std::size_t c = 0; c < kClients; ++c)
     wire(memory, static_cast<NodeId>(c), controller);
@@ -285,6 +287,84 @@ TEST(OnlineController, BackgroundThreadUnderConcurrentLoad) {
   // Records either landed in telemetry or were counted as dropped.
   EXPECT_EQ(controller.records() + controller.dropped(),
             kClients * kOpsPerClient);
+}
+
+// Both adaptive loops run one decision policy: the same op stream through
+// AdaptiveSharedMemory (per-object, inline) and through the concurrent
+// runtime under OnlineController::poll() yields the same protocol for
+// every object after every pass, and the same number of switches.
+TEST(AdaptivePolicy, InlineAndConcurrentLoopsDecideAlike) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kObjects = 12;  // more than the hot set prices
+  constexpr std::size_t kPhaseOps = 6000;
+  adaptive::Policy policy;
+  policy.decide_every = 128;
+  policy.min_observations = 64;
+  policy.window = 256;
+  fsm::CostModel costs;
+  costs.s = 400.0;
+  costs.p = 30.0;
+
+  adaptive::AdaptiveSharedMemory::Options aopts;
+  aopts.memory.protocol = ProtocolKind::kWriteThrough;
+  aopts.memory.num_clients = kClients;
+  aopts.memory.num_objects = kObjects;
+  aopts.memory.costs = costs;
+  aopts.policy = policy;
+  aopts.per_object = true;
+  adaptive::AdaptiveSharedMemory inline_memory(aopts);
+
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = kClients;
+  options.num_objects = kObjects;
+  options.num_shards = 2;
+  options.costs = costs;
+  ConcurrentSharedMemory memory(options);
+  adaptive::OnlineController controller(memory, {policy});
+  for (std::size_t c = 0; c < kClients; ++c)
+    wire(memory, static_cast<NodeId>(c), controller);
+
+  std::vector<double> weights;
+  for (std::size_t j = 0; j < kObjects; ++j)
+    weights.push_back(static_cast<double>(kObjects - j));
+  const workload::WorkloadSpec phases[] = {
+      workload::read_disturbance(0.04, 0.3, 3),
+      workload::ideal_workload(0.8),
+      workload::write_disturbance(0.4, 0.15, 2)};
+  std::uint64_t seed = 90;
+  std::uint64_t value = 0;
+  std::size_t ops = 0;
+  for (const auto& phase : phases) {
+    workload::GlobalSequenceGenerator gen(phase, ++seed, kObjects, weights);
+    for (std::size_t i = 0; i < kPhaseOps; ++i) {
+      const auto op = gen.next();
+      auto& session = memory.session(op.node);
+      if (op.op == fsm::OpKind::kWrite) {
+        inline_memory.write(op.node, op.object, ++value);
+        session.write(op.object, value);
+        session.drain();
+      } else {
+        inline_memory.read(op.node, op.object);
+        session.read_sync(op.object);
+      }
+      if (++ops % policy.decide_every != 0) continue;
+      controller.poll();
+      ASSERT_EQ(controller.passes(), inline_memory.epochs());
+      for (ObjectId j = 0; j < kObjects; ++j)
+        ASSERT_EQ(controller.object_protocol(j),
+                  inline_memory.object_protocol(j))
+            << "object " << j << " after pass " << controller.passes();
+    }
+  }
+  EXPECT_EQ(controller.migrations(), inline_memory.switches());
+  EXPECT_GT(inline_memory.switches(), 0u);
+
+  memory.stop();
+  ASSERT_FALSE(memory.failed()) << memory.error();
+  for (ObjectId j = 0; j < kObjects; ++j)
+    EXPECT_EQ(memory.object_protocol(j), inline_memory.object_protocol(j))
+        << "object " << j;
 }
 
 }  // namespace
