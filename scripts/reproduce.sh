@@ -56,18 +56,23 @@ fi
 # ring-buffer index arithmetic are exactly the code a use-after-recycle
 # or wraparound bug would hide in.  So is fsm::FieldCodec's byte-level
 # decode, which every machine's state keys and snapshots go through:
-# the codec, chain and checker-reduction suites run here too.  Skipped
-# with DRSM_SKIP_ASAN=1.
+# the codec, chain and checker-reduction suites run here too.  So do the
+# concurrent runtime and its MPSC ring: a grant names its session's
+# in-flight table entry by slot id, and an out-of-range slot would read
+# or write past that table.  Skipped with DRSM_SKIP_ASAN=1.
 if [ "${DRSM_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan -G Ninja -DDRSM_SANITIZE=address,undefined
   cmake --build build-asan --target event_queue_test sim_determinism_test \
-    replication_test codec_test chain_test check_reduction_test
+    replication_test codec_test chain_test check_reduction_test \
+    concurrent_runtime_test mpsc_ring_test
   ./build-asan/tests/event_queue_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/sim_determinism_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/replication_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/codec_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/chain_test 2>&1 | tee -a test_output.txt
   ./build-asan/tests/check_reduction_test 2>&1 | tee -a test_output.txt
+  ./build-asan/tests/concurrent_runtime_test 2>&1 | tee -a test_output.txt
+  ./build-asan/tests/mpsc_ring_test 2>&1 | tee -a test_output.txt
 fi
 
 # Bench smoke stage: the microbenchmarks under a Release build.  A crash

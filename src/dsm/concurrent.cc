@@ -33,6 +33,10 @@ ConcurrentSharedMemory::Session::Session(ConcurrentSharedMemory& owner,
                                 : latency_sample_every),
       staged_(owner.options_.num_shards) {
   pump_buf_.resize(256);
+  inflight_.resize(grant_capacity);
+  free_slots_.reserve(grant_capacity);
+  for (std::size_t i = grant_capacity; i-- > 0;)
+    free_slots_.push_back(static_cast<std::uint32_t>(i));
 }
 
 std::uint64_t ConcurrentSharedMemory::Session::read(ObjectId object) {
@@ -80,20 +84,24 @@ std::uint64_t ConcurrentSharedMemory::Session::submit(fsm::OpKind op,
       park();
     }
   }
+  // Below the window, so a slot is free.
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  InFlight& entry = inflight_[slot];
+  entry.ticket = ++issued_;
+  entry.issue_ns = issued_ % latency_sample_every_ == 0 ? now_ns() : 0;
+  entry.object = object;
+  entry.op = op;
   sim::ShardRequest request;
   request.op = op;
   request.node = node_;
   request.object = object;
+  request.slot = slot;
   request.value = value;
-  request.ticket = ++issued_;
-  request.issue_ns =
-      issued_ % latency_sample_every_ == 0 ? now_ns() : 0;
-  request.reply = &grants_;
-  request.reply_gate = &gate_;
   // Staged, not pushed: the next pump() hands the shard the whole batch.
   staged_[sim::shard_of(object, staged_.size())].push_back(request);
   ++in_flight_;
-  return request.ticket;
+  return entry.ticket;
 }
 
 std::size_t ConcurrentSharedMemory::Session::pump() {
@@ -133,7 +141,12 @@ std::size_t ConcurrentSharedMemory::Session::collect() {
     if (n == 0) break;
     std::uint64_t end_ns = 0;  // read once, and only for a sampled grant
     for (std::size_t i = 0; i < n; ++i) {
-      const sim::ShardGrant& grant = pump_buf_[i];
+      const sim::GrantRecord& record = pump_buf_[i];
+      const InFlight& entry = inflight_[record.slot];
+      const sim::ShardGrant grant{entry.object, entry.op,    record.value,
+                                  record.version, record.cost, entry.ticket,
+                                  entry.issue_ns};
+      free_slots_.push_back(record.slot);
       cost_ += grant.cost;
       if (grant.op == fsm::OpKind::kRead) last_read_value_ = grant.value;
       if (grant.issue_ns != 0) {
@@ -180,11 +193,23 @@ ConcurrentSharedMemory::ConcurrentSharedMemory(const Options& options)
                  options_.shard_taps.size() == options_.num_shards,
              "shard_taps must be empty or one per shard");
   DRSM_CHECK(options_.max_inflight >= 1, "window must admit one operation");
+  DRSM_CHECK(options_.max_inflight <= UINT32_MAX,
+             "window must fit the 32-bit in-flight slot ids");
 
   std::vector<std::vector<ObjectId>> owned(options_.num_shards);
   for (std::size_t o = 0; o < options_.num_objects; ++o) {
     owned[sim::shard_of(static_cast<ObjectId>(o), options_.num_shards)]
         .push_back(static_cast<ObjectId>(o));
+  }
+  // Sessions first: each shard is built with every session's grant ring
+  // and gate, indexed by node.
+  sessions_.reserve(options_.num_clients);
+  std::vector<sim::SequencerShard::Options::Reply> replies;
+  for (std::size_t c = 0; c < options_.num_clients; ++c) {
+    sessions_.push_back(std::unique_ptr<Session>(
+        new Session(*this, static_cast<NodeId>(c), options_.max_inflight,
+                    options_.latency_sample_every)));
+    replies.push_back({&sessions_.back()->grants_, &sessions_.back()->gate_});
   }
   sim::SystemConfig config;
   config.num_clients = options_.num_clients;
@@ -200,13 +225,8 @@ ConcurrentSharedMemory::ConcurrentSharedMemory(const Options& options)
     shard_options.idle_spins = options_.idle_spins;
     shard_options.tap =
         options_.shard_taps.empty() ? nullptr : options_.shard_taps[s];
+    shard_options.replies = replies;
     shards_.push_back(std::make_unique<sim::SequencerShard>(shard_options));
-  }
-  sessions_.reserve(options_.num_clients);
-  for (std::size_t c = 0; c < options_.num_clients; ++c) {
-    sessions_.push_back(std::unique_ptr<Session>(
-        new Session(*this, static_cast<NodeId>(c), options_.max_inflight,
-                    options_.latency_sample_every)));
   }
   for (auto& shard : shards_) shard->start();
   start_ = std::chrono::steady_clock::now();
@@ -227,7 +247,7 @@ void ConcurrentSharedMemory::migrate(ObjectId object,
   sim::ShardRequest request;
   request.kind = sim::ShardRequest::Kind::kMigrate;
   request.object = object;
-  request.migrate_to = to;
+  request.value = static_cast<std::uint64_t>(to);
   sim::SequencerShard& shard =
       *shards_[sim::shard_of(object, shards_.size())];
   while (!shard.try_submit(request)) std::this_thread::yield();

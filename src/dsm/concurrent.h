@@ -20,6 +20,13 @@
 //     it holds a staged request;
 //   * complete: shard -> session grant ring, each session's grants of a
 //     drained batch published with one batched push and one wake;
+//   * records: what crosses threads per op is compact (sim::ShardRequest,
+//     24 B, out; sim::GrantRecord, 32 B, back).  The session keeps each
+//     op's object, kind, ticket and issue time in an in-flight table of
+//     max_inflight entries, hands the shard the entry's slot id, and
+//     rebuilds the public sim::ShardGrant from the record and the entry
+//     before it calls the grant handler.  Slots come from a free list,
+//     because grants from different shards complete out of order;
 //   * ordering: a session's operations on one object complete in issue
 //     order (ring FIFO per producer + in-order shard processing); an
 //     operation on an object is atomic (the shard runs it to protocol
@@ -71,7 +78,8 @@ class ConcurrentSharedMemory {
     /// Empty-ring yield-spins before a shard futex-parks (see
     /// sim::SequencerShard::Options::idle_spins).
     std::size_t idle_spins = 4;
-    /// W: per-session operation window (grant rings are sized to hold it).
+    /// W: per-session operation window (grant rings and in-flight tables
+    /// are sized to hold it).
     std::size_t max_inflight = 1024;
     /// Latency is sampled every k-th operation per session (1 = all).
     std::size_t latency_sample_every = 8;
@@ -148,6 +156,15 @@ class ConcurrentSharedMemory {
     std::size_t collect();
     void park();
 
+    /// What the session keeps of an operation while it is in flight; the
+    /// shard's grant record names its entry by slot id.
+    struct InFlight {
+      std::uint64_t ticket = 0;
+      std::uint64_t issue_ns = 0;
+      ObjectId object = 0;
+      fsm::OpKind op = fsm::OpKind::kRead;
+    };
+
     ConcurrentSharedMemory& owner_;
     NodeId node_;
     sim::GrantRing grants_;
@@ -163,7 +180,9 @@ class ConcurrentSharedMemory {
     std::uint64_t window_stalls_ = 0;
     std::uint64_t last_read_value_ = 0;
     obs::Quantile latency_ns_{0.005};
-    std::vector<sim::ShardGrant> pump_buf_;
+    std::vector<sim::GrantRecord> pump_buf_;
+    std::vector<InFlight> inflight_;         // max_inflight entries
+    std::vector<std::uint32_t> free_slots_;  // unused inflight_ slot ids
     /// Issued requests not yet pushed, by shard, in issue order.
     std::vector<std::vector<sim::ShardRequest>> staged_;
   };

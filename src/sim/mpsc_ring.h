@@ -24,11 +24,13 @@
 // consumer drains in slot order.  (This is what preserves each session's
 // per-object program order through a shard's request ring.)
 //
-// Blocking is layered on top with an eventcount (EventGate): consumers
-// park on empty, producers park on full, and both sides re-check their
-// condition between announcing themselves and sleeping, so wakeups are
-// never lost.  std::atomic::wait/notify backs the actual sleep (a futex
-// on Linux) — no mutex or condition variable anywhere.
+// Blocking is layered on top with one eventcount (EventGate) per ring:
+// the consumer parks on empty and re-checks the ring between announcing
+// itself and sleeping, so wakeups are never lost.  std::atomic::wait/notify
+// backs the actual sleep (a futex on Linux) — no mutex or condition
+// variable anywhere.  Producers never park: a full ring is backpressure
+// the caller handles (try_push fails; push() yields and retries), so
+// draining a batch pays no producer wake.
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <thread>
 
 namespace drsm::sim {
 
@@ -55,7 +58,11 @@ namespace drsm::sim {
 /// waiter's re-check observes the waker's state change.  poke() bumps
 /// unconditionally — the shutdown path uses it to dislodge any sleeper
 /// without having to win the waiters_ race.
-class EventGate {
+///
+/// Every notify() reads waiters_ from the waker's core, so a gate takes a
+/// cache line of its own: the fields its owner writes per operation must
+/// not sit on the line that wakers keep pulling across.
+class alignas(64) EventGate {
  public:
   std::uint32_t prepare_wait() {
     waiters_.fetch_add(1, std::memory_order_relaxed);
@@ -105,6 +112,9 @@ class MpscRing {
   MpscRing& operator=(const MpscRing&) = delete;
 
   std::size_t capacity() const { return capacity_; }
+  /// Bytes one slot occupies: the value plus its sequence number.  This
+  /// is what a handoff moves between cores per value.
+  static constexpr std::size_t slot_bytes() { return sizeof(Slot); }
 
   /// Producer: attempts to enqueue.  Returns false when the ring is full.
   /// Wakes a parked consumer unless `silent` (batch producers wake once at
@@ -158,23 +168,15 @@ class MpscRing {
     return free;
   }
 
-  /// Producer: enqueue, parking on the space gate while the ring is full.
-  /// Only safe where the consumer is guaranteed to keep draining (it must
-  /// not itself block pushing into a ring this producer drains — see the
-  /// capacity notes at each call site).
+  /// Producer: enqueue, yielding while the ring is full.  Only safe where
+  /// the consumer is guaranteed to keep draining (it must not itself wait
+  /// on a ring this producer drains).
   void push(const T& value) {
-    while (!try_push(value)) {
-      const std::uint32_t ticket = not_full_.prepare_wait();
-      if (has_space_hint()) {
-        not_full_.cancel_wait();
-        continue;
-      }
-      not_full_.wait(ticket);
-    }
+    while (!try_push(value)) std::this_thread::yield();
   }
 
-  /// Consumer only: drains up to `max` values into `out`.  Returns the
-  /// count; wakes producers parked on a full ring when slots were freed.
+  /// Consumer only: drains up to `max` values into `out`; returns the
+  /// count.
   std::size_t pop_batch(T* out, std::size_t max) {
     std::size_t n = 0;
     while (n < max) {
@@ -185,7 +187,6 @@ class MpscRing {
       slot.seq.store(head_ + capacity_, std::memory_order_release);
       ++head_;
     }
-    if (n != 0) not_full_.notify();
     return n;
   }
 
@@ -218,23 +219,13 @@ class MpscRing {
     T value;
   };
 
-  bool has_space_hint() const {
-    const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    const Slot& slot = slots_[pos & mask_];
-    return static_cast<std::int64_t>(
-               slot.seq.load(std::memory_order_acquire)) -
-               static_cast<std::int64_t>(pos) >=
-           0;
-  }
-
   std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   std::unique_ptr<Slot[]> slots_;
 
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producers
   alignas(64) std::uint64_t head_ = 0;              // consumer-owned
-  alignas(64) EventGate not_empty_;                 // consumer parks here
-  EventGate not_full_;                              // producers park here
+  EventGate not_empty_;                             // consumer parks here
   std::atomic<std::uint64_t> full_stalls_{0};
 };
 

@@ -46,6 +46,8 @@ std::vector<NodeId> full_roster(std::size_t num_clients) {
 SequencerShard::SequencerShard(const Options& options)
     : options_(options), ring_(options.ring_capacity) {
   DRSM_CHECK(!options_.objects.empty(), "shard must own at least one object");
+  DRSM_CHECK(options_.replies.size() == options_.config.num_clients,
+             "shard needs one reply target per client node");
   SystemConfig config = options_.config;
   config.num_objects = 1;  // each runtime hosts one object
   ObjectId max_object = 0;
@@ -89,14 +91,14 @@ void SequencerShard::stop() {
   stats_.ring_full_stalls = ring_.full_stalls();
 }
 
-bool SequencerShard::handle(const ShardRequest& request, ShardGrant& grant) {
+bool SequencerShard::handle(const ShardRequest& request, GrantRecord& grant) {
+  SequentialRuntime& runtime = *runtimes_[local_index(request.object)];
   if (request.kind == ShardRequest::Kind::kMigrate) {
-    SequentialRuntime& runtime = *runtimes_[local_index(request.object)];
-    if (failed_.load(std::memory_order_relaxed) ||
-        runtime.protocol() == request.migrate_to)
+    const auto to = static_cast<protocols::ProtocolKind>(request.value);
+    if (failed_.load(std::memory_order_relaxed) || runtime.protocol() == to)
       return false;
     try {
-      const OpResult seed = runtime.migrate(request.migrate_to);
+      const OpResult seed = runtime.migrate(to);
       ++stats_.migrations;
       stats_.cost += seed.cost;
       stats_.messages += seed.messages;
@@ -106,12 +108,8 @@ bool SequencerShard::handle(const ShardRequest& request, ShardGrant& grant) {
     }
     return false;
   }
-  grant = ShardGrant{};
-  grant.object = request.object;
-  grant.op = request.op;
-  grant.ticket = request.ticket;
-  grant.issue_ns = request.issue_ns;
-  SequentialRuntime& runtime = *runtimes_[local_index(request.object)];
+  grant = GrantRecord{};
+  grant.slot = request.slot;
   if (!failed_.load(std::memory_order_relaxed)) {
     try {
       const OpResult result =
@@ -136,25 +134,26 @@ bool SequencerShard::handle(const ShardRequest& request, ShardGrant& grant) {
   return true;
 }
 
-void SequencerShard::publish(Outbox& box) {
+void SequencerShard::publish(NodeId node, std::vector<GrantRecord>& grants) {
   // The session window bounds grant-ring occupancy, so this only spins if
   // a session consumed grants without decrementing its window (a bug).
-  const std::size_t n = box.grants.size();
+  const Options::Reply& reply = options_.replies[node];
+  const std::size_t n = grants.size();
   std::size_t done = 0;
   while (done < n) {
-    done += box.ring->try_push_batch(box.grants.data() + done, n - done,
-                                     /*silent=*/true);
+    done += reply.ring->try_push_batch(grants.data() + done, n - done,
+                                       /*silent=*/true);
     if (done < n) std::this_thread::yield();
   }
-  if (box.gate != nullptr) box.gate->notify();
-  box.grants.clear();
+  reply.gate->notify();
+  grants.clear();
 }
 
 void SequencerShard::run() {
   std::vector<ShardRequest> batch(options_.max_batch);
   // Grants of the current batch, grouped by issuing node: every session
   // is one node, so each outbox feeds exactly one grant ring.
-  std::vector<Outbox> outboxes(options_.config.num_clients);
+  std::vector<std::vector<GrantRecord>> outboxes(options_.config.num_clients);
   std::vector<NodeId> touched;  // outboxes holding grants, first-use order
   touched.reserve(outboxes.size());
   std::size_t idle_spins_left = options_.idle_spins;
@@ -180,20 +179,16 @@ void SequencerShard::run() {
       ring_.wait(ticket);
       continue;
     }
-    ShardGrant grant;
+    GrantRecord grant;
     for (std::size_t i = 0; i < n; ++i) {
       const ShardRequest& request = batch[i];
       if (!handle(request, grant)) continue;
-      Outbox& box = outboxes[request.node];
-      if (box.grants.empty()) {
-        box.ring = request.reply;
-        box.gate = request.reply_gate;
-        touched.push_back(request.node);
-      }
-      box.grants.push_back(grant);
+      std::vector<GrantRecord>& box = outboxes[request.node];
+      if (box.empty()) touched.push_back(request.node);
+      box.push_back(grant);
     }
     // One batched publish and one wake per session per batch.
-    for (const NodeId node : touched) publish(outboxes[node]);
+    for (const NodeId node : touched) publish(node, outboxes[node]);
     touched.clear();
     ++stats_.batches;
     stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, n);

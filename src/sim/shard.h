@@ -7,7 +7,15 @@
 //
 //   client threads ──MpscRing<ShardRequest>──▶ shard loop ──▶ per-object
 //   SequentialRuntime::execute (atomic, run-to-quiescence) ──▶
-//   MpscRing<ShardGrant> back to the issuing session.
+//   MpscRing<GrantRecord> back to the issuing session.
+//
+// Both records are compact because every op moves one of each between
+// cores: a 24 B request (32 B ring slot) and a 32 B grant record (40 B
+// slot).  The request carries what the shard needs to execute plus the
+// session's in-flight slot id; the grant carries the results plus that
+// slot id.  Object, kind, ticket and issue time stay in the session's
+// in-flight table, and the grant ring and gate of each node come from a
+// table the shard is built with, so no per-request reply pointers travel.
 //
 // Both crossings are batched.  Sessions stage their requests and push
 // each staged run with one MpscRing::try_push_batch (try_submit_batch).
@@ -46,6 +54,9 @@ inline std::size_t shard_of(ObjectId object, std::size_t num_shards) {
   return static_cast<std::size_t>(object) % num_shards;
 }
 
+/// A completed operation as its session's grant handler sees it.  The
+/// rings never carry it: the session rebuilds it from the shard's
+/// GrantRecord and its own in-flight table.
 struct ShardGrant {
   ObjectId object = 0;
   fsm::OpKind op = fsm::OpKind::kRead;
@@ -56,31 +67,43 @@ struct ShardGrant {
   std::uint64_t issue_ns = 0; // session's issue timestamp (latency)
 };
 
-using GrantRing = MpscRing<ShardGrant>;
+/// What a shard sends back per operation: only the results.  `slot` names
+/// the issuing session's in-flight entry, which holds the operation's
+/// object, kind, ticket and issue time.
+struct GrantRecord {
+  std::uint64_t value = 0;    // as ShardGrant::value
+  std::uint64_t version = 0;  // as ShardGrant::version
+  Cost cost = 0.0;
+  std::uint32_t slot = 0;     // session in-flight slot id
+};
+
+using GrantRing = MpscRing<GrantRecord>;
 
 struct ShardRequest {
   /// kOp is an application operation; kMigrate switches the object's
-  /// runtime to `migrate_to` (SequentialRuntime::migrate) in ring order —
-  /// requests ahead of it run under the old protocol, requests behind it
-  /// under the new one, and the per-object history stays sequential across
-  /// the switch.  Migrations carry no reply: `reply`/`reply_gate` stay
-  /// null and no grant is published.
+  /// runtime to the protocol in `value` (SequentialRuntime::migrate) in
+  /// ring order — requests ahead of it run under the old protocol,
+  /// requests behind it under the new one, and the per-object history
+  /// stays sequential across the switch.  Migrations carry no reply and
+  /// publish no grant.
   enum class Kind : std::uint8_t { kOp, kMigrate };
   Kind kind = Kind::kOp;
   fsm::OpKind op = fsm::OpKind::kRead;
   NodeId node = 0;            // issuing DSM node (protocol client id);
-                              // also keys the shard's grant outbox, so
-                              // every op of one node names the same reply
+                              // also names the session whose grant ring
+                              // and gate the shard replies to
   ObjectId object = 0;        // global object id
-  std::uint64_t value = 0;    // write payload
-  std::uint64_t ticket = 0;
-  std::uint64_t issue_ns = 0;
-  protocols::ProtocolKind migrate_to =
-      protocols::ProtocolKind::kWriteThrough;  // kMigrate only
-  GrantRing* reply = nullptr;       // session grant ring (never full: the
-                                    // session window bounds occupancy)
-  EventGate* reply_gate = nullptr;  // session park gate, woken per batch
+  std::uint32_t slot = 0;     // session in-flight slot id, echoed back
+  std::uint64_t value = 0;    // kOp write: payload; kMigrate: the target
+                              // protocols::ProtocolKind
 };
+
+// Every op moves one request slot to its shard and one grant slot back;
+// these pin both crossings to a 32 B and a 40 B ring slot.
+static_assert(sizeof(ShardRequest) <= 24, "request record grew");
+static_assert(sizeof(GrantRecord) <= 32, "grant record grew");
+static_assert(MpscRing<ShardRequest>::slot_bytes() <= 32);
+static_assert(GrantRing::slot_bytes() <= 40);
 
 /// One sequencer shard: request ring + dedicated batched event loop.
 class SequencerShard {
@@ -99,6 +122,14 @@ class SequencerShard {
     /// genuinely idle shard pays the futex.
     std::size_t idle_spins = 4;
     CoherenceTap* tap = nullptr;       // live referee (optional)
+    /// Where each node's grants go: one entry per client node (a session
+    /// per node), indexed by ShardRequest::node.
+    struct Reply {
+      GrantRing* ring = nullptr;  // never full: the session window bounds
+                                  // its occupancy
+      EventGate* gate = nullptr;  // session park gate, woken per batch
+    };
+    std::vector<Reply> replies;
   };
 
   explicit SequencerShard(const Options& options);
@@ -153,18 +184,12 @@ class SequencerShard {
  private:
   class Relabel;
 
-  /// One batch's grants bound for one session, published together.
-  struct Outbox {
-    GrantRing* ring = nullptr;
-    EventGate* gate = nullptr;
-    std::vector<ShardGrant> grants;
-  };
-
   void run();
   /// Executes one request; fills `grant` and returns true for an op,
   /// returns false for a migration (no reply).
-  bool handle(const ShardRequest& request, ShardGrant& grant);
-  void publish(Outbox& box);
+  bool handle(const ShardRequest& request, GrantRecord& grant);
+  /// Publishes one batch's grants for `node` with one push and one wake.
+  void publish(NodeId node, std::vector<GrantRecord>& grants);
   std::size_t local_index(ObjectId object) const;
 
   Options options_;

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -435,6 +437,113 @@ TEST(ConcurrentRuntimeTest, PartialFlushesThroughTinyRing) {
   for (const std::string& v : oracle.violations()) ADD_FAILURE() << v;
   EXPECT_EQ(mem.stats().ops, 2u * 3000u);
   EXPECT_GT(mem.stats().submit_stalls, 0u);
+}
+
+/// Holds its shard inside the first tap callback until release(): the
+/// shard stops granting while the other shards go on.
+class HoldingTap final : public sim::CoherenceTap {
+ public:
+  void on_write_issue(double, NodeId, ObjectId, std::uint64_t) override {
+    hold();
+  }
+  void on_commit(double, NodeId, ObjectId, std::uint64_t,
+                 std::uint64_t) override {
+    hold();
+  }
+  void on_read(double, NodeId, ObjectId, std::uint64_t,
+               std::uint64_t) override {
+    hold();
+  }
+  bool holding() const { return holding_.load(std::memory_order_acquire); }
+  void release() { released_.store(true, std::memory_order_release); }
+
+ private:
+  void hold() {
+    holding_.store(true, std::memory_order_release);
+    while (!released_.load(std::memory_order_acquire))
+      std::this_thread::yield();
+  }
+  std::atomic<bool> holding_{false};
+  std::atomic<bool> released_{false};
+};
+
+// Grants from different shards complete out of order, so a session's
+// in-flight slots are freed and reused out of issue order.  Shard 0 is
+// held with two of the session's four window slots while the other two
+// cycle through shard 1 many times over; every grant must still carry
+// the ticket, object, op and read value it was issued with.
+TEST(ConcurrentRuntimeTest, OutOfOrderGrantsAcrossShardsReuseSlots) {
+  constexpr std::size_t kWindow = 4;
+  HoldingTap hold;
+  ConcurrentSharedMemory::Options options;
+  options.protocol = ProtocolKind::kWriteThrough;
+  options.num_clients = 1;
+  options.num_objects = 4;  // objects 0, 2 on shard 0; 1, 3 on shard 1
+  options.num_shards = 2;
+  options.max_inflight = kWindow;
+  options.shard_taps = {&hold, nullptr};
+  ConcurrentSharedMemory mem(options);
+  // Declared after mem, so it runs first on every exit path: a failed
+  // assertion must not leave shard 0 held while mem joins it.
+  struct Releaser {
+    HoldingTap& tap;
+    ~Releaser() { tap.release(); }
+  } releaser{hold};
+  auto& session = mem.session(0);
+
+  struct Issued {
+    ObjectId object;
+    fsm::OpKind op;
+    std::uint64_t value;  // write: value stored; read: value expected
+  };
+  std::map<std::uint64_t, Issued> pending;  // by ticket
+  std::vector<std::uint64_t> latest(options.num_objects, 0);
+  std::size_t shard1_granted = 0;
+  session.set_grant_handler([&](const sim::ShardGrant& g) {
+    const auto it = pending.find(g.ticket);
+    ASSERT_NE(it, pending.end()) << "ticket " << g.ticket << " granted twice";
+    EXPECT_EQ(g.object, it->second.object) << "ticket " << g.ticket;
+    EXPECT_EQ(g.op, it->second.op) << "ticket " << g.ticket;
+    EXPECT_EQ(g.value, it->second.value) << "ticket " << g.ticket;
+    if (sim::shard_of(g.object, options.num_shards) == 1) ++shard1_granted;
+    pending.erase(it);
+  });
+  // A session's ops on one object run in issue order, so a read returns
+  // the session's last write to that object.
+  auto write = [&](ObjectId object, std::uint64_t value) {
+    const std::uint64_t ticket = session.issued() + 1;
+    pending[ticket] = {object, fsm::OpKind::kWrite, value};
+    latest[object] = value;
+    EXPECT_EQ(session.write(object, value), ticket);
+  };
+  auto read = [&](ObjectId object) {
+    const std::uint64_t ticket = session.issued() + 1;
+    pending[ticket] = {object, fsm::OpKind::kRead, latest[object]};
+    EXPECT_EQ(session.read(object), ticket);
+  };
+
+  write(0, 1000);
+  read(0);
+  session.pump();  // hands both to shard 0, which holds on the write
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!hold.holding() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_TRUE(hold.holding()) << "shard 0 never reached its tap";
+
+  std::uint64_t value = 2000;
+  for (ObjectId object = 1; shard1_granted < 4 * kWindow; object ^= 2) {
+    write(object, ++value);  // objects 1 and 3, both on shard 1
+    read(object);
+  }
+  EXPECT_TRUE(pending.count(1) && pending.count(2)) << "held ops granted";
+  EXPECT_GE(session.in_flight(), 2u);
+
+  hold.release();
+  session.drain();
+  EXPECT_EQ(session.in_flight(), 0u);
+  EXPECT_TRUE(pending.empty()) << pending.size() << " ops never granted";
+  EXPECT_EQ(session.completed(), session.issued());
 }
 
 /// Throws from inside the shard's protocol execution on the k-th write
